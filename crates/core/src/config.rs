@@ -90,21 +90,6 @@ pub struct AnalysisConfig {
     /// telemetry costs one branch per record site (`--stats-json` /
     /// `--profile` turn it on in the CLI).
     pub telemetry: bool,
-    /// Stage-1 subsumption cache: skip re-exploring a block whose exact
-    /// entry state (fingerprint) was already fully explored from that
-    /// block, replaying the recorded effects instead. Verdict-neutral by
-    /// construction; disable with `--no-exploration-cache` to measure.
-    pub exploration_cache: bool,
-    /// Stage-1 callee-summary cache: replay a recorded effect journal for
-    /// an inlined call whose callee and entry state match a previous
-    /// inlining, instead of re-exploring the callee body. Verdict-neutral;
-    /// disable with `--no-callee-memo` to measure.
-    pub callee_memo: bool,
-    /// How many shallow branch decisions idle workers may pre-force to
-    /// explore a heavy root's later DFS regions speculatively, warming the
-    /// shared exploration caches (`0` disables intra-root forking). Only
-    /// takes effect when there are more worker threads than roots.
-    pub fork_depth: usize,
     /// Copy-on-write path state (DESIGN.md "Copy-on-write path state"):
     /// branch forks take a fixed-size mark and sibling arms restore by
     /// undo-journal rollback, costing O(changed). Disabling falls back to
@@ -112,13 +97,13 @@ pub struct AnalysisConfig {
     /// graph, typestate table, path-local maps, frames and constraint
     /// trace at every fork) — observationally identical, and useful as a
     /// differential oracle and as the baseline for the
-    /// `driver.explore.fork.*` cost telemetry. Disable with
-    /// `--no-cow-state` to measure.
+    /// `driver.explore.fork.*` cost telemetry. Not a CLI flag: the clone
+    /// mode exists for tests and benches.
     pub cow_state: bool,
     /// Per-root wall-clock deadline in milliseconds, checked at branch fork
     /// points. `0` disables the deadline. A root that exceeds it is demoted
-    /// to a bounded cache-free re-run and, failing that, quarantined into
-    /// the report's `degraded` section (DESIGN.md "Fault containment").
+    /// to a bounded re-run and, failing that, quarantined into the report's
+    /// `degraded` section (DESIGN.md "Fault containment").
     /// Wall-clock trips are inherently environment-dependent; the
     /// byte-identity contract covers injected `deadline` faults.
     pub root_deadline_ms: u64,
@@ -150,9 +135,6 @@ impl Default for AnalysisConfig {
             threads: 0,
             resolve_fptrs: false,
             telemetry: false,
-            exploration_cache: true,
-            callee_memo: true,
-            fork_depth: 2,
             cow_state: true,
             root_deadline_ms: 0,
             max_live_bytes: 0,
@@ -325,24 +307,6 @@ impl AnalysisConfigBuilder {
     /// Enables telemetry recording for the run.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.config.telemetry = on;
-        self
-    }
-
-    /// Enables or disables the stage-1 subsumption cache.
-    pub fn exploration_cache(mut self, on: bool) -> Self {
-        self.config.exploration_cache = on;
-        self
-    }
-
-    /// Enables or disables the stage-1 callee-summary cache.
-    pub fn callee_memo(mut self, on: bool) -> Self {
-        self.config.callee_memo = on;
-        self
-    }
-
-    /// Sets the speculative intra-root fork depth (0 disables forking).
-    pub fn fork_depth(mut self, n: usize) -> Self {
-        self.config.fork_depth = n;
         self
     }
 

@@ -6,7 +6,7 @@
 use crate::collector;
 use crate::config::AnalysisConfig;
 use crate::filter;
-use crate::path::{ExploreResult, Explorer, ForkStats, SharedTables};
+use crate::path::{ExploreResult, Explorer, ForkStats};
 use crate::registry::CheckerRegistry;
 use crate::report::{BugReport, DegradedRoot, PossibleBug};
 use crate::stats::{AnalysisStats, BudgetNote};
@@ -36,8 +36,7 @@ pub struct AnalysisOutcome {
     /// [`TelemetrySnapshot::to_json`] for the stable wire format.
     pub telemetry: TelemetrySnapshot,
     /// Per-root budget-exhaustion detail (in root order): which roots hit
-    /// `max_insts`/`max_paths`, and whether their verdicts come from the
-    /// deterministic cache-free re-run. Empty when no root was truncated.
+    /// which budget. Empty when no root was truncated.
     pub budget_notes: Vec<BudgetNote>,
     /// Roots the fault-containment ladder quarantined or demoted, sorted by
     /// `(root, stage)`. Empty on a healthy run.
@@ -47,8 +46,9 @@ pub struct AnalysisOutcome {
 /// A root the fault-containment ladder could not complete normally: the
 /// structured record of a quarantine (panic caught) or demotion (resource
 /// budget tripped, bounded re-run kept). Stats from a quarantined attempt
-/// are dropped entirely — partial progress varies with the cache and
-/// thread configuration, while the failure record itself is deterministic.
+/// are dropped entirely — partial progress varies with the thread and
+/// copy-on-write configuration, while the failure record itself is
+/// deterministic.
 #[derive(Debug, Clone)]
 pub(crate) struct RootFailure {
     /// Root function name.
@@ -187,7 +187,7 @@ impl Pata {
 
     /// Runs the full pipeline on `module`.
     pub fn analyze(&self, module: Module) -> AnalysisOutcome {
-        let checkers = self.registry.instantiate_for(&self.config.checkers);
+        let checkers = self.instantiate_checkers();
         self.analyze_with(module, &checkers)
     }
 
@@ -261,12 +261,7 @@ impl Pata {
         &self,
         mut module: Module,
     ) -> (Module, Vec<PossibleBug>, AnalysisStats) {
-        let checkers: Vec<Box<dyn Checker>> = self
-            .config
-            .checkers
-            .iter()
-            .map(|k| k.instantiate())
-            .collect();
+        let checkers = self.instantiate_checkers();
         let roots = collector::mark_interfaces(&mut module);
         let mut stats = AnalysisStats {
             files_analyzed: module.files().len() as u64,
@@ -310,89 +305,32 @@ impl Pata {
         roots: &[FuncId],
         stats: &mut AnalysisStats,
     ) -> Vec<RootRun> {
-        let hw_threads = if self.config.threads == 0 {
+        let threads = if self.config.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         } else {
             self.config.threads
         };
-        let threads = hw_threads.min(roots.len().max(1));
-        let tel_on = self.telemetry.is_enabled();
+        let threads = threads.min(roots.len().max(1));
         let base = stats.clone();
-
-        // Intra-root parallelism: when there are more workers than roots,
-        // the spare workers fork into the roots' DFS trees as *cache
-        // warmers* — same root, a forced branch prefix steering them into a
-        // region the owner reaches late, results discarded. They only
-        // populate the shared subsumption/memo tables, which the owners
-        // then hit; reports and stats come solely from the owners, so the
-        // outcome is bit-identical to an unforked run by replay exactness.
-        let spare = hw_threads.saturating_sub(roots.len().max(1));
-        let fork_depth = self.config.fork_depth;
-        let fork_on = spare > 0
-            && !roots.is_empty()
-            && fork_depth > 0
-            && (self.config.exploration_cache || self.config.callee_memo);
-        let shared = if fork_on {
-            Some(Arc::new(SharedTables::new()))
-        } else {
-            None
-        };
-        // At most 2^depth - 1 useful prefixes per root (the owner covers
-        // the all-`false` region first on its own).
-        let helper_count = if fork_on {
-            spare.min(roots.len() * ((1usize << fork_depth.min(4)) - 1))
-        } else {
-            0
-        };
-
-        let runs = std::thread::scope(|scope| {
-            for j in 0..helper_count {
-                let shared_t = Arc::clone(shared.as_ref().unwrap());
-                let root = roots[j % roots.len()];
-                let prefix = helper_prefix(j / roots.len(), fork_depth);
-                let config = &self.config;
-                scope.spawn(move || {
-                    // `thread::scope` re-raises a spawned thread's panic at
-                    // the scope exit, which would defeat the per-root
-                    // quarantine — so a helper (which runs the same
-                    // arbitrary checker code as the owner, results
-                    // discarded) contains its own panics. The shared-table
-                    // shards tolerate the poisoned locks this can leave.
-                    let _ = catch_unwind(AssertUnwindSafe(|| {
-                        let mut helper = Explorer::new(module, config, checkers, root);
-                        helper.use_shared_tables(shared_t);
-                        helper.set_fork_helper(prefix);
-                        // Candidates and stats are intentionally dropped.
-                        let _ = helper.explore();
-                    }));
-                });
-            }
-            self.run_owners(module, checkers, roots, stats, threads, shared.as_ref())
-        });
-        if tel_on && helper_count > 0 {
-            self.telemetry.record_direct(|sink| {
-                sink.add("driver.explore.forks", helper_count as u64);
-            });
-        }
-        if tel_on {
+        let runs = self.schedule_roots(module, checkers, roots, stats, threads);
+        if self.telemetry.is_enabled() {
             self.record_exploration_counters(stats, &base);
         }
         runs
     }
 
-    /// Runs the per-root owner explorers (sequentially or with the
-    /// work-stealing scheduler) and returns their results in root order,
-    /// merging every root's counters into `stats`.
-    fn run_owners(
+    /// Runs one explorer per root (sequentially or with the work-stealing
+    /// scheduler) and returns their results in root order, merging every
+    /// root's counters into `stats`.
+    fn schedule_roots(
         &self,
         module: &Module,
         checkers: &[Box<dyn Checker>],
         roots: &[FuncId],
         stats: &mut AnalysisStats,
         threads: usize,
-        shared: Option<&Arc<SharedTables>>,
     ) -> Vec<RootRun> {
         let tel_on = self.telemetry.is_enabled();
 
@@ -404,7 +342,7 @@ impl Pata {
             for (i, &root) in roots.iter().enumerate() {
                 let span = Span::start(tel_on, "explore.root");
                 let (result, failure) =
-                    self.run_one_root(module, checkers, root, shared, &mut sink, tel_on);
+                    self.run_one_root(module, checkers, root, &mut sink, tel_on);
                 if tel_on {
                     span.finish_labeled(&mut sink, Some(module.function(root).name().into()));
                     for (acc, n) in alias_ops.iter_mut().zip(result.alias_ops) {
@@ -476,8 +414,8 @@ impl Pata {
                         }
                         let Some(i) = task else { break };
                         let span = Span::start(tel_on, "explore.root");
-                        let (result, failure) = self
-                            .run_one_root(module, checkers, roots[i], shared, &mut sink, tel_on);
+                        let (result, failure) =
+                            self.run_one_root(module, checkers, roots[i], &mut sink, tel_on);
                         if tel_on {
                             span.finish_labeled(
                                 &mut sink,
@@ -539,11 +477,11 @@ impl Pata {
     /// 1. Full-budget attempt under `catch_unwind`. A panic — a misbehaving
     ///    checker, an injected fault — **quarantines** the root: its partial
     ///    results are dropped entirely (partial progress varies with the
-    ///    cache/thread configuration; a fixed empty result keeps reports and
+    ///    thread/CoW configuration; a fixed empty result keeps reports and
     ///    stats byte-identical) and a [`RootFailure`] records the payload.
     /// 2. A `deadline` / `live_bytes` budget trip **demotes** the root to a
-    ///    bounded cache-free re-run (path/instruction budgets clamped, no
-    ///    shared tables) whose verdicts are kept, flagged `"demoted"`. The
+    ///    bounded re-run (path/instruction budgets clamped) whose verdicts
+    ///    are kept, flagged `"demoted"`. The
     ///    bounded budgets make the re-run deterministic and finite even
     ///    though the original trip was time- or memory-driven.
     /// 3. A demoted run that panics or trips a resource budget again is
@@ -557,17 +495,12 @@ impl Pata {
         module: &Module,
         checkers: &[Box<dyn Checker>],
         root: FuncId,
-        shared: Option<&Arc<SharedTables>>,
         sink: &mut TelemetrySink,
         tel_on: bool,
     ) -> (ExploreResult, Option<RootFailure>) {
         let name = module.function(root).name();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            let mut explorer = Explorer::new(module, &self.config, checkers, root);
-            if let Some(t) = shared {
-                explorer.use_shared_tables(Arc::clone(t));
-            }
-            explorer.explore()
+            Explorer::new(module, &self.config, checkers, root).explore()
         }));
         let result = match attempt {
             Ok(result) => result,
@@ -600,16 +533,11 @@ impl Pata {
             };
             sink.add(counter, 1);
         }
-        // Demotion: bounded cache-free re-run. Budgets are clamped so the
-        // re-run terminates quickly even for the pathological root that
-        // burned the full deadline; caches/memo stay off (the cache-free
-        // truncation contract of `Explorer::explore`), and the deadline and
-        // ceiling stay armed so a root that cannot finish even degraded is
-        // caught again.
+        // Demotion: bounded re-run. Budgets are clamped so the re-run
+        // terminates quickly even for the pathological root that burned the
+        // full deadline; the deadline and ceiling stay armed so a root that
+        // cannot finish even degraded is caught again.
         let mut demoted = self.config.clone();
-        demoted.exploration_cache = false;
-        demoted.callee_memo = false;
-        demoted.fork_depth = 0;
         demoted.budget.max_paths = demoted.budget.max_paths.min(DEMOTED_MAX_PATHS);
         demoted.budget.max_insts = demoted.budget.max_insts.min(DEMOTED_MAX_INSTS);
         let retry = Instant::now();
@@ -687,21 +615,6 @@ impl Pata {
                 "constraints.emitted",
                 stats.constraints_aware - base.constraints_aware,
             );
-            // Exploration-reuse counters. Exact for unforked runs; with
-            // fork helpers warming shared tables, hit counts depend on
-            // helper/owner timing (the verdicts never do).
-            sink.add(
-                "driver.explore.sub_hits",
-                stats.exploration_cache_hits - base.exploration_cache_hits,
-            );
-            sink.add(
-                "driver.explore.memo_hits",
-                stats.callee_memo_hits - base.callee_memo_hits,
-            );
-            sink.add(
-                "driver.explore.insts_replayed",
-                stats.insts_replayed - base.insts_replayed,
-            );
         });
     }
 }
@@ -713,7 +626,7 @@ const DEMOTED_MAX_INSTS: usize = 50_000;
 
 /// The deterministic result recorded for a quarantined root: no candidates,
 /// no counters beyond the root itself. Partial progress up to the panic
-/// depends on caches, CoW mode and helper timing — dropping it entirely is
+/// depends on the CoW mode and scheduling — dropping it entirely is
 /// what keeps stats and reports byte-identical across configurations for a
 /// fixed failure set.
 fn quarantined_result() -> ExploreResult {
@@ -748,15 +661,6 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// in depth) cannot leave either in a half-written state.
 fn lock_ok<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The forced branch prefix for helper `k` at `depth`: the binary digits of
-/// `k + 1` (skipping the all-`false` region the owner explores first),
-/// most-significant first, cycling when `k` exceeds the prefix space.
-fn helper_prefix(k: usize, depth: usize) -> Vec<bool> {
-    let slots = (1usize << depth.min(4)).saturating_sub(1).max(1);
-    let v = (k % slots) + 1;
-    (0..depth.min(4)).rev().map(|b| (v >> b) & 1 == 1).collect()
 }
 
 /// Converts a per-worker alias-op array into labeled `alias.op` counters.

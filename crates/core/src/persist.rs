@@ -49,7 +49,7 @@ use std::path::Path;
 /// Version of the on-disk store schema. Bump on any change to the layout
 /// or meaning of the document; [`Store::parse`] treats a mismatch as a
 /// cold start, so old stores are silently discarded, never misread.
-pub const STORE_SCHEMA_VERSION: u64 = 1;
+pub const STORE_SCHEMA_VERSION: u64 = 2;
 
 // --------------------------------------------------------------------
 // Fingerprints
@@ -76,10 +76,10 @@ pub(crate) fn function_fingerprint(module: &Module, func: FuncId) -> u64 {
 /// Fingerprint of the verdict-relevant configuration. Two configurations
 /// with equal fingerprints produce byte-identical reports on the same
 /// input, so cached results can be shared between them. Deliberately
-/// excluded: `threads`, `telemetry`, and the verdict-neutral cache/fork
-/// switches (`validation_cache`, `exploration_cache`, `callee_memo`,
-/// `fork_depth`) — the load-bearing determinism invariant says they never
-/// change a verdict.
+/// excluded: `threads`, `telemetry`, and the verdict-neutral switches
+/// `validation_cache` (stage-2 verdict cache) and `cow_state` (journaled
+/// vs cloned branch forks) — the load-bearing determinism invariant says
+/// they never change a verdict.
 pub(crate) fn config_fingerprint(config: &AnalysisConfig) -> u64 {
     let mut text = String::new();
     for kind in &config.checkers {
@@ -574,10 +574,9 @@ fn write_root(out: &mut String, r: &StoredRoot) {
     match &r.note {
         Some(n) => {
             out.push_str(&format!(
-                ", \"note\": {{\"root\": {}, \"reason\": {}, \"caches_disabled\": {}}}",
+                ", \"note\": {{\"root\": {}, \"reason\": {}}}",
                 quote(&n.root),
-                quote(&n.reason),
-                n.caches_disabled
+                quote(&n.reason)
             ));
         }
         None => out.push_str(", \"note\": null"),
@@ -606,7 +605,6 @@ fn parse_root(v: &JsonValue) -> Option<StoredRoot> {
         n => Some(BudgetNote {
             root: n.get("root")?.as_str()?.to_owned(),
             reason: n.get("reason")?.as_str()?.to_owned(),
-            caches_disabled: n.get("caches_disabled")?.as_bool()?,
         }),
     };
     let degraded = match v.get("degraded") {
@@ -631,7 +629,7 @@ fn parse_root(v: &JsonValue) -> Option<StoredRoot> {
 /// The per-root exploration counters worth persisting: everything the
 /// explorer itself accumulates. Filter-stage counters (candidates,
 /// reported, validation hits) are recomputed live on every run.
-const STAT_FIELDS: [&str; 11] = [
+const STAT_FIELDS: [&str; 8] = [
     "roots",
     "paths_explored",
     "insts_processed",
@@ -640,9 +638,6 @@ const STAT_FIELDS: [&str; 11] = [
     "constraints_aware",
     "constraints_unaware",
     "budget_exhausted_roots",
-    "exploration_cache_hits",
-    "callee_memo_hits",
-    "insts_replayed",
 ];
 
 fn stat_field(s: &AnalysisStats, name: &str) -> u64 {
@@ -655,9 +650,6 @@ fn stat_field(s: &AnalysisStats, name: &str) -> u64 {
         "constraints_aware" => s.constraints_aware,
         "constraints_unaware" => s.constraints_unaware,
         "budget_exhausted_roots" => s.budget_exhausted_roots,
-        "exploration_cache_hits" => s.exploration_cache_hits,
-        "callee_memo_hits" => s.callee_memo_hits,
-        "insts_replayed" => s.insts_replayed,
         _ => unreachable!("unknown stat field"),
     }
 }
@@ -672,9 +664,6 @@ fn stat_field_mut<'a>(s: &'a mut AnalysisStats, name: &str) -> &'a mut u64 {
         "constraints_aware" => &mut s.constraints_aware,
         "constraints_unaware" => &mut s.constraints_unaware,
         "budget_exhausted_roots" => &mut s.budget_exhausted_roots,
-        "exploration_cache_hits" => &mut s.exploration_cache_hits,
-        "callee_memo_hits" => &mut s.callee_memo_hits,
-        "insts_replayed" => &mut s.insts_replayed,
         _ => unreachable!("unknown stat field"),
     }
 }
@@ -956,7 +945,6 @@ mod tests {
                 note: Some(BudgetNote {
                     root: "probe".into(),
                     reason: "max_paths".into(),
-                    caches_disabled: false,
                 }),
                 degraded: Some(DegradedRoot {
                     root: "probe".into(),
@@ -995,9 +983,10 @@ mod tests {
 
     #[test]
     fn wrong_schema_version_is_cold_start() {
-        let text = sample_store()
-            .to_json()
-            .replace("\"schema_version\": 1", "\"schema_version\": 999");
+        let text = sample_store().to_json().replace(
+            &format!("\"schema_version\": {STORE_SCHEMA_VERSION}"),
+            "\"schema_version\": 999",
+        );
         assert!(Store::parse(&text, 7).is_none());
     }
 
@@ -1028,9 +1017,7 @@ mod tests {
         neutral.threads = 7;
         neutral.telemetry = true;
         neutral.validation_cache = false;
-        neutral.exploration_cache = false;
-        neutral.callee_memo = false;
-        neutral.fork_depth = 0;
+        neutral.cow_state = false;
         assert_eq!(config_fingerprint(&neutral), base_fp);
         // …verdict-relevant knobs do not.
         let mut relevant = base.clone();

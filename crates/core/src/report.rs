@@ -117,8 +117,8 @@ pub const DEGRADED_SECTION_VERSION: u64 = 1;
 /// (DESIGN.md "Fault containment & degraded reports").
 ///
 /// Entries are sorted by `(root, stage)` before serialization so degraded
-/// reports stay byte-identical across thread counts and cache
-/// configurations for the same failure set.
+/// reports stay byte-identical across thread counts and copy-on-write
+/// modes for the same failure set.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DegradedRoot {
     /// Name of the affected root (module interface function).
@@ -131,7 +131,7 @@ pub struct DegradedRoot {
     pub reason: String,
     /// What the pipeline did: `"quarantined"` (root skipped, its verdicts
     /// absent from this report) or `"demoted"` (verdicts come from a
-    /// bounded cache-free re-run).
+    /// bounded re-run).
     pub action: String,
 }
 
@@ -140,7 +140,7 @@ pub struct DegradedRoot {
 /// Bump this when a field is renamed, removed, or changes meaning; adding
 /// new optional fields does not require a bump. [`Report::from_json`]
 /// rejects documents with a different version rather than guessing.
-pub const REPORT_SCHEMA_VERSION: u64 = 1;
+pub const REPORT_SCHEMA_VERSION: u64 = 2;
 
 /// Error from [`Report::from_json`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,7 +170,7 @@ impl std::error::Error for ReportError {}
 ///
 /// ```json
 /// {
-///   "schema_version": 1,
+///   "schema_version": 2,
 ///   "reports": [
 ///     {
 ///       "kind": "null-pointer-dereference",
@@ -281,8 +281,6 @@ impl Report {
                 out.push_str(&quote(&n.root));
                 out.push_str(", \"reason\": ");
                 out.push_str(&quote(&n.reason));
-                out.push_str(", \"caches_disabled\": ");
-                out.push_str(if n.caches_disabled { "true" } else { "false" });
                 out.push('}');
             }
             out.push(']');
@@ -390,10 +388,6 @@ impl Report {
                 budget_notes.push(crate::stats::BudgetNote {
                     root: str_field("root")?,
                     reason: str_field("reason")?,
-                    caches_disabled: item
-                        .get("caches_disabled")
-                        .and_then(JsonValue::as_bool)
-                        .ok_or_else(|| schema("missing budget note field `caches_disabled`"))?,
                 });
             }
         }
@@ -507,9 +501,10 @@ mod tests {
 
     #[test]
     fn report_rejects_wrong_version() {
-        let json = Report::new(vec![])
-            .to_json()
-            .replace("\"schema_version\": 1", "\"schema_version\": 999");
+        let json = Report::new(vec![]).to_json().replace(
+            &format!("\"schema_version\": {REPORT_SCHEMA_VERSION}"),
+            "\"schema_version\": 999",
+        );
         let err = Report::from_json(&json).unwrap_err();
         assert!(matches!(err, ReportError::Schema(_)), "{err}");
         assert!(err.to_string().contains("999"));
@@ -517,9 +512,12 @@ mod tests {
 
     #[test]
     fn report_rejects_missing_field() {
-        let json = r#"{"schema_version": 1, "reports": [{"kind": "use-after-free"}]}"#;
-        let err = Report::from_json(json).unwrap_err();
+        let json = format!(
+            r#"{{"schema_version": {REPORT_SCHEMA_VERSION}, "reports": [{{"kind": "use-after-free"}}]}}"#
+        );
+        let err = Report::from_json(&json).unwrap_err();
         assert!(matches!(err, ReportError::Schema(_)), "{err}");
+        assert!(err.to_string().contains("missing"), "{err}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! ```json
 //! {"protocol_version": 1, "id": 1, "ok": true, "op": "analyze",
-//!  "report": {"schema_version": 1, "reports": [...]},
+//!  "report": {"schema_version": 2, "reports": [...]},
 //!  "serve": {"roots": 3, "dirty_roots": 1, "clean_roots": 2,
 //!            "changed_functions": 1, "warm_start": true}}
 //! ```

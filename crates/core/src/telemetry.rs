@@ -492,11 +492,17 @@ impl TelemetrySnapshot {
             return out;
         }
 
-        // Stage breakdown.
+        // Stage breakdown, in pipeline order. The session-level spans
+        // (`driver.serve.*`) are absent from in-memory `analyze_module` runs
+        // and then show as zero.
         let stages = [
+            ("store load", "driver.serve.store_load"),
+            ("compile", "driver.serve.compile"),
             ("collect", "stage.collect"),
+            ("fingerprint", "driver.serve.fingerprint"),
             ("explore", "stage.explore"),
             ("filter", "stage.filter"),
+            ("store save", "driver.serve.store_save"),
         ];
         let total_ns: u64 = stages
             .iter()
@@ -511,7 +517,7 @@ impl TelemetrySnapshot {
             } else {
                 100.0 * ns as f64 / total_ns as f64
             };
-            let _ = writeln!(out, "  {label:<10} {:>12}  {pct:5.1}%", fmt_ns(ns));
+            let _ = writeln!(out, "  {label:<11} {:>12}  {pct:5.1}%", fmt_ns(ns));
         }
 
         // Slowest roots.
@@ -777,18 +783,39 @@ mod tests {
     #[test]
     fn profile_render_mentions_stages_and_caches() {
         let mut sink = TelemetrySink::new();
+        sink.record_ns("driver.serve.store_load", None, 500);
+        sink.record_ns("driver.serve.compile", None, 2_000);
         sink.record_ns("stage.collect", None, 1_000);
-        sink.record_ns("stage.explore", None, 8_000);
+        sink.record_ns("driver.serve.fingerprint", None, 1_000);
+        sink.record_ns("stage.explore", None, 4_000);
         sink.record_ns("stage.filter", None, 1_000);
-        sink.record_ns("explore.root", Some("slow_fn".into()), 7_000);
+        sink.record_ns("driver.serve.store_save", None, 500);
+        sink.record_ns("explore.root", Some("slow_fn".into()), 3_000);
         sink.add("validate.cache_hit", 3);
         sink.add("validate.cache_miss", 1);
         let tel = Telemetry::new(true);
         tel.merge(sink);
         let text = tel.snapshot().render_profile(5);
         assert!(text.contains("stage breakdown"), "{text}");
-        assert!(text.contains("explore"), "{text}");
-        assert!(text.contains("80.0%"), "{text}");
+        // Every stage row, in pipeline order, as a share of the 10µs total.
+        let rows = [
+            ("store load", "5.0%"),
+            ("compile", "20.0%"),
+            ("collect", "10.0%"),
+            ("fingerprint", "10.0%"),
+            ("explore", "40.0%"),
+            ("filter", "10.0%"),
+            ("store save", "5.0%"),
+        ];
+        let mut at = 0;
+        for (label, pct) in rows {
+            let line = text[at..]
+                .lines()
+                .find(|l| l.trim_start().starts_with(label))
+                .unwrap_or_else(|| panic!("no {label} row: {text}"));
+            assert!(line.ends_with(pct), "{label}: {line}");
+            at = text.find(line).unwrap() + line.len();
+        }
         assert!(text.contains("slow_fn"), "{text}");
         assert!(text.contains("75.0% hit rate"), "{text}");
     }

@@ -9,9 +9,11 @@
 //! while the clone-based baseline (`cow_state(false)`) grows.
 //!
 //! Independently, both representations must be observationally equivalent:
-//! byte-identical report documents across cow on/off and threads 1/2/4.
+//! byte-identical report documents, stats and exploration counters across
+//! cow on/off and threads 1/2/4 — with every checker, under tight loop
+//! budgets, and for roots truncated by the instruction budget.
 
-use pata_core::{AnalysisConfig, AnalysisSession, Report};
+use pata_core::{AnalysisConfig, AnalysisOutcome, AnalysisSession, BugKind, Report};
 
 /// One interface root with `k` live heap allocations before a single
 /// branch: the deeper the state, the more a clone-based fork must copy.
@@ -33,8 +35,6 @@ fn config(cow: bool, threads: usize, telemetry: bool) -> AnalysisConfig {
     AnalysisConfig::builder()
         .threads(threads)
         .telemetry(telemetry)
-        .exploration_cache(false)
-        .callee_memo(false)
         .cow_state(cow)
         .build()
         .unwrap()
@@ -122,4 +122,171 @@ fn reports_identical_across_cow_and_threads() {
             );
         }
     }
+}
+
+/// Driver-style code with reconvergent diamonds, a helper called from
+/// several sites, heap traffic and real bugs on some paths, so verdict
+/// equality is meaningful.
+const DRIVER_SRC: &str = r#"
+    struct dev { int flags; int mode; int irq; int *res; };
+
+    static int clamp(int n) {
+        if (n > 4) { n = 4; }
+        if (n < 0) { n = 0; }
+        return n;
+    }
+
+    static int tune(struct dev *d) {
+        int rate = 0;
+        int win = 0;
+        int depth = 0;
+        if (d->flags > 0) { rate = 100; } else { rate = 10; }
+        if (d->mode > 1) { win = 8; } else { win = 1; }
+        if (d->irq > 0) { depth = clamp(2); } else { depth = clamp(2); }
+        if (d->flags > 2) { rate = rate + win; } else { rate = rate - win; }
+        if (d->res == NULL) { log_warn("tune"); }
+        return *d->res + rate + depth;
+    }
+
+    static int probe(struct dev *d) {
+        int *buf = malloc(64);
+        int a = 0;
+        if (d->mode > 0) { a = clamp(3); } else { a = clamp(3); }
+        if (a > 0) {
+            return a;
+        }
+        free(buf);
+        return 0;
+    }
+
+    static struct ops dev_ops = { .tune = tune, .probe = probe };
+"#;
+
+fn report_json(o: &AnalysisOutcome) -> String {
+    Report::new(o.reports.clone())
+        .with_budget_notes(o.budget_notes.clone())
+        .to_json()
+}
+
+/// Every telemetry counter outside the `driver.*` family (scheduler and
+/// fork-cost metrics) is a pure function of the explored program.
+fn program_counters(o: &AnalysisOutcome) -> Vec<(String, Option<String>, u64)> {
+    let mut cs: Vec<_> = o
+        .telemetry
+        .counters()
+        .into_iter()
+        .filter(|(name, _, _)| !name.starts_with("driver."))
+        .map(|(n, l, v)| (n.to_owned(), l.map(str::to_owned), v))
+        .collect();
+    cs.sort();
+    cs
+}
+
+/// Runs `module` under `builder` at every (cow, threads) combination and
+/// asserts the report document, the exploration stats and the program
+/// counters all match the sequential copy-on-write run. Returns that run.
+fn assert_equivalent(
+    module: &pata_ir::Module,
+    builder: impl Fn() -> pata_core::AnalysisConfigBuilder,
+    what: &str,
+) -> AnalysisOutcome {
+    let run = |cow: bool, threads: usize| {
+        let config = builder()
+            .threads(threads)
+            .cow_state(cow)
+            .telemetry(true)
+            .build()
+            .unwrap();
+        AnalysisSession::new(config).analyze_module(module.clone())
+    };
+    let base = run(true, 1);
+    for cow in [true, false] {
+        for threads in [1usize, 2, 4] {
+            let o = run(cow, threads);
+            let at = format!("{what}: cow {cow}, threads {threads}");
+            assert_eq!(report_json(&o), report_json(&base), "{at}");
+            assert_eq!(o.budget_notes, base.budget_notes, "{at}");
+            assert_eq!(o.stats.paths_explored, base.stats.paths_explored, "{at}");
+            assert_eq!(o.stats.insts_processed, base.stats.insts_processed, "{at}");
+            assert_eq!(program_counters(&o), program_counters(&base), "{at}");
+        }
+    }
+    base
+}
+
+/// Report and counter identity with every built-in checker enabled,
+/// including the value-tracking ones (AIU, DBZ).
+#[test]
+fn all_checkers_reports_and_counters_identical_across_threads() {
+    let module = pata_cc::compile_one("driver.c", DRIVER_SRC).unwrap();
+    let base = assert_equivalent(
+        &module,
+        || AnalysisConfig::builder().checkers(BugKind::ALL.to_vec()),
+        "all checkers",
+    );
+    assert!(!base.reports.is_empty(), "expected real bugs");
+    assert!(
+        program_counters(&base)
+            .iter()
+            .any(|(n, _, v)| n == "path.paths" && *v > 0),
+        "expected real exploration work"
+    );
+}
+
+/// The loop cut: a tighter loop budget explores strictly fewer paths, and
+/// at every budget the result is independent of fork representation and
+/// thread count.
+#[test]
+fn loop_budget_is_deterministic_and_monotone() {
+    const LOOP_SRC: &str = r#"
+        struct dev { int n; int *res; };
+
+        static int drain(struct dev *d) {
+            int total = 0;
+            int i;
+            for (i = 0; i < d->n; i++) {
+                if (d->res == NULL) { log_warn("drain"); }
+                total += *d->res;
+            }
+            return total;
+        }
+
+        static struct ops drain_ops = { .drain = drain };
+    "#;
+    let module = pata_cc::compile_one("loop.c", LOOP_SRC).unwrap();
+    let mut paths = Vec::new();
+    for iterations in [1usize, 2, 3] {
+        let base = assert_equivalent(
+            &module,
+            || AnalysisConfig::builder().loop_iterations(iterations),
+            &format!("loop iterations {iterations}"),
+        );
+        assert!(!base.reports.is_empty(), "iterations {iterations}");
+        paths.push(base.stats.paths_explored);
+    }
+    assert!(
+        paths.windows(2).all(|w| w[0] < w[1]),
+        "each extra iteration must add paths: {paths:?}"
+    );
+}
+
+/// Roots truncated by the instruction budget stay deterministic: the same
+/// budget notes and the same truncated verdicts at every thread count and
+/// fork representation.
+#[test]
+fn budget_exhausted_roots_are_deterministic_across_threads() {
+    let module = pata_cc::compile_one("driver.c", DRIVER_SRC).unwrap();
+    let mut truncated = 0;
+    for max_insts in [50usize, 200, 1000] {
+        let base = assert_equivalent(
+            &module,
+            || AnalysisConfig::builder().max_insts(max_insts),
+            &format!("max_insts {max_insts}"),
+        );
+        for note in &base.budget_notes {
+            assert_eq!(note.reason, "max_insts", "{note:?}");
+        }
+        truncated += base.budget_notes.len();
+    }
+    assert!(truncated > 0, "some budget must truncate a root");
 }

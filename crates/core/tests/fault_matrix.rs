@@ -3,7 +3,7 @@
 //! kill-mid-write, deadline hit, live-bytes ceiling — produces a
 //! well-formed versioned report with a populated `degraded` section, the
 //! session keeps answering, and degraded reports are byte-identical
-//! across thread counts and cache configurations for a fixed fault plan.
+//! across thread counts and fork representations for a fixed fault plan.
 
 use pata_core::{
     AnalysisConfig, AnalysisRequest, AnalysisSession, FaultPlan, Report, SessionError,
@@ -62,12 +62,8 @@ fn plan(spec: &str) -> Arc<FaultPlan> {
     Arc::new(FaultPlan::parse(spec).expect("valid plan"))
 }
 
-fn config(threads: usize, caches: bool, cow: bool, spec: Option<&str>) -> AnalysisConfig {
-    let mut b = AnalysisConfig::builder()
-        .threads(threads)
-        .exploration_cache(caches)
-        .callee_memo(caches)
-        .cow_state(cow);
+fn config(threads: usize, cow: bool, spec: Option<&str>) -> AnalysisConfig {
+    let mut b = AnalysisConfig::builder().threads(threads).cow_state(cow);
     if let Some(spec) = spec {
         b = b.fault_plan(plan(spec));
     }
@@ -97,12 +93,12 @@ fn assert_well_formed(report: &Report) {
 }
 
 fn baseline() -> SessionOutcome {
-    analyze(config(1, true, true, None))
+    analyze(config(1, true, None))
 }
 
 #[test]
 fn explore_panic_quarantines_one_root_and_keeps_the_rest() {
-    let outcome = analyze(config(1, true, true, Some("explore:net_probe")));
+    let outcome = analyze(config(1, true, Some("explore:net_probe")));
     assert_well_formed(&outcome.report);
     assert_eq!(outcome.report.degraded.len(), 1);
     let d = &outcome.report.degraded[0];
@@ -130,7 +126,7 @@ fn explore_panic_quarantines_one_root_and_keeps_the_rest() {
 
 #[test]
 fn checker_panic_is_contained_like_an_explore_panic() {
-    let outcome = analyze(config(1, true, true, Some("checker:chr_probe@1")));
+    let outcome = analyze(config(1, true, Some("checker:chr_probe@1")));
     assert_well_formed(&outcome.report);
     assert_eq!(outcome.report.degraded.len(), 1);
     let d = &outcome.report.degraded[0];
@@ -147,7 +143,7 @@ fn checker_panic_is_contained_like_an_explore_panic() {
 
 #[test]
 fn validate_panic_drops_the_group_and_reports_it() {
-    let outcome = analyze(config(1, true, true, Some("validate:net_probe")));
+    let outcome = analyze(config(1, true, Some("validate:net_probe")));
     assert_well_formed(&outcome.report);
     assert_eq!(outcome.report.degraded.len(), 1);
     let d = &outcome.report.degraded[0];
@@ -167,7 +163,7 @@ fn validate_panic_drops_the_group_and_reports_it() {
 
 #[test]
 fn deadline_hit_demotes_and_keeps_the_bounded_verdicts() {
-    let outcome = analyze(config(1, true, true, Some("deadline:net_probe@1")));
+    let outcome = analyze(config(1, true, Some("deadline:net_probe@1")));
     assert_well_formed(&outcome.report);
     assert_eq!(outcome.report.degraded.len(), 1);
     let d = &outcome.report.degraded[0];
@@ -195,7 +191,7 @@ fn deadline_hit_demotes_and_keeps_the_bounded_verdicts() {
 
 #[test]
 fn live_bytes_ceiling_demotes_too() {
-    let outcome = analyze(config(1, true, true, Some("live_bytes:blk_probe@1")));
+    let outcome = analyze(config(1, true, Some("live_bytes:blk_probe@1")));
     assert_well_formed(&outcome.report);
     assert_eq!(outcome.report.degraded.len(), 1);
     let d = &outcome.report.degraded[0];
@@ -208,7 +204,7 @@ fn live_bytes_ceiling_demotes_too() {
 #[test]
 fn unconditional_resource_trip_escalates_to_quarantine() {
     // The rule fires again in the demoted re-run, so the ladder gives up.
-    let outcome = analyze(config(1, true, true, Some("deadline:net_probe")));
+    let outcome = analyze(config(1, true, Some("deadline:net_probe")));
     assert_well_formed(&outcome.report);
     assert_eq!(outcome.report.degraded.len(), 1);
     let d = &outcome.report.degraded[0];
@@ -223,8 +219,8 @@ fn unconditional_resource_trip_escalates_to_quarantine() {
         .any(|r| r.function == "net_probe"));
 }
 
-/// Degraded reports are byte-identical across thread counts and cache /
-/// cow configurations for a fixed fault plan.
+/// Degraded reports are byte-identical across thread counts and cow
+/// configurations for a fixed fault plan.
 #[test]
 fn degraded_reports_byte_identical_across_configs() {
     for spec in [
@@ -235,21 +231,10 @@ fn degraded_reports_byte_identical_across_configs() {
         "live_bytes:blk_probe@1",
         "deadline:net_probe,live_bytes:blk_probe@1,validate:chr_probe",
     ] {
-        let reference = analyze(config(1, true, true, Some(spec))).report.to_json();
-        for (threads, caches, cow) in [
-            (2, true, true),
-            (4, true, true),
-            (1, false, true),
-            (4, false, false),
-            (2, true, false),
-        ] {
-            let got = analyze(config(threads, caches, cow, Some(spec)))
-                .report
-                .to_json();
-            assert_eq!(
-                got, reference,
-                "spec `{spec}` threads={threads} caches={caches} cow={cow}"
-            );
+        let reference = analyze(config(1, true, Some(spec))).report.to_json();
+        for (threads, cow) in [(2, true), (4, true), (1, false), (2, false), (4, false)] {
+            let got = analyze(config(threads, cow, Some(spec))).report.to_json();
+            assert_eq!(got, reference, "spec `{spec}` threads={threads} cow={cow}");
         }
     }
 }
@@ -257,8 +242,8 @@ fn degraded_reports_byte_identical_across_configs() {
 /// An empty fault plan is the null hypothesis: byte-identical to no plan.
 #[test]
 fn zero_fault_runs_match_no_plan_runs() {
-    let with_empty = analyze(config(2, true, true, Some("")));
-    let without = analyze(config(2, true, true, None));
+    let with_empty = analyze(config(2, true, Some("")));
+    let without = analyze(config(2, true, None));
     assert_eq!(with_empty.report.to_json(), without.report.to_json());
     assert!(with_empty.report.degraded.is_empty());
 }

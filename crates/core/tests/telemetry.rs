@@ -1,10 +1,12 @@
 //! Integration tests for the telemetry subsystem and the open API
 //! (registry, builder, versioned report) across a full pipeline run.
 
+use pata_core::typestate::{Checker, FsmSpec, TrackCtx, UpdateInfo};
 use pata_core::{
-    AnalysisConfig, AnalysisOutcome, AnalysisSession, BugKind, CheckerRegistry, RegistryError,
-    Report, REPORT_SCHEMA_VERSION,
+    filter, AnalysisConfig, AnalysisOutcome, AnalysisSession, BugKind, CheckerFactory,
+    CheckerRegistry, RegistryError, Report, REPORT_SCHEMA_VERSION,
 };
+use pata_ir::InstKind;
 
 /// A module with several interface functions so the parallel scheduler has
 /// real work to spread, and enough state machinery to exercise every
@@ -162,4 +164,86 @@ fn registry_rejects_duplicate_id_at_api_boundary() {
     );
     // The failed registration must not have corrupted the registry.
     assert_eq!(registry.ids().len(), 7);
+}
+
+/// An out-of-tree plugin: reports an unlock of an alias set whose last
+/// lock operation was already an unlock.
+struct StrictUnlock;
+
+impl Checker for StrictUnlock {
+    fn kind(&self) -> BugKind {
+        BugKind::DoubleLock
+    }
+
+    fn fsm(&self) -> FsmSpec {
+        FsmSpec {
+            states: vec!["S0", "LOCKED", "UNLOCKED", "SBUG"],
+            events: vec!["lock", "unlock"],
+            bug_state: "SBUG",
+        }
+    }
+
+    fn on_inst(&self, cx: &mut TrackCtx<'_>, inst: &InstKind, info: &UpdateInfo) {
+        let id = self.kind().id();
+        let Some(key) = info.lock_key else { return };
+        let prior = cx.state(id, key);
+        match inst {
+            InstKind::Lock { .. } => cx.transition(id, key, 1, prior),
+            InstKind::Unlock { .. } => match prior {
+                Some(entry) if entry.state == 1 => cx.transition(id, key, 2, prior),
+                Some(entry) => cx.report(self.kind(), key, entry, Vec::new()),
+                None => {}
+            },
+            _ => {}
+        }
+    }
+}
+
+struct StrictUnlockFactory;
+
+impl CheckerFactory for StrictUnlockFactory {
+    fn id(&self) -> &str {
+        "strict-unlock"
+    }
+
+    fn description(&self) -> &str {
+        "reports an unlock of an already unlocked alias set"
+    }
+
+    fn create(&self) -> Box<dyn Checker> {
+        Box::new(StrictUnlock)
+    }
+}
+
+/// The P1+P2 entry point instantiates checkers through the session's
+/// registry, so a plugin under a non-built-in id reaches the same reports
+/// through `collect_candidates` + `filter` as through the full pipeline.
+#[test]
+fn collect_candidates_runs_registry_plugins() {
+    let src = r#"
+        struct dev { int lock; };
+        static void irq(struct dev *d) {
+            spin_lock(&d->lock);
+            spin_unlock(&d->lock);
+            spin_unlock(&d->lock);
+        }
+        static struct irq_ops ops = { .h = irq };
+    "#;
+    let module = pata_cc::compile_one("irq.c", src).unwrap();
+    let mut registry = CheckerRegistry::with_builtins();
+    registry.register(Box::new(StrictUnlockFactory)).unwrap();
+    // Only NPD is selected: every double-unlock report is the plugin's.
+    let config = AnalysisConfig::builder()
+        .checkers(vec![BugKind::NullPointerDeref])
+        .build()
+        .unwrap();
+    let session = AnalysisSession::with_registry(config, registry);
+
+    let full = session.analyze_module(module.clone());
+    assert_eq!(full.reports.len(), 1, "{:?}", full.reports);
+    assert_eq!(full.reports[0].kind, BugKind::DoubleLock);
+
+    let (marked, candidates, mut stats) = session.collect_candidates(module);
+    let split = filter::filter(&marked, candidates, true, None, None, &mut stats);
+    assert_eq!(split.reports, full.reports);
 }

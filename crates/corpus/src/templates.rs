@@ -730,7 +730,7 @@ fn clean_helper_chain(ctx: &Ctx) -> Snippet {
 /// assign the same locals, control falls through) — the quirks-table /
 /// config-flag shape that dominates real probe functions. Path count is
 /// exponential in the diamond count while the analysis state reconverges at
-/// every join, so this is also the shape where exploration reuse pays.
+/// every join.
 fn clean_feature_tune(ctx: &Ctx) -> Snippet {
     let f = ctx.n("tune");
     let mut s = Snippet::default();
@@ -753,8 +753,7 @@ fn clean_feature_tune(ctx: &Ctx) -> Snippet {
 
 /// Both arms of each branch acknowledge through the same small helper —
 /// the notify/ack idiom. The two call sites reach the helper with identical
-/// analysis state, so the callee summary recorded at the first site replays
-/// at the second.
+/// analysis state.
 fn clean_ack_paths(ctx: &Ctx) -> Snippet {
     let ping = ctx.n("ping");
     let f = ctx.n("poll");

@@ -17,11 +17,11 @@ cargo build --release
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "== cargo test -q --release -p pata-core --lib (fingerprint cross-check)"
-# The forked-diamond fingerprint tests compare the incremental accumulators
-# against the slow fold with `verify_fp` — run them in release too, where
-# debug_assert-based checking is compiled out.
-cargo test -q --release -p pata-core --lib
+echo "== cargo test --release --manifest-path e2ebench/Cargo.toml"
+# The end-to-end benchmark is its own cargo workspace, so the workspace
+# test run above never builds it; this catches core API changes that
+# break it.
+cargo test -q --release --manifest-path e2ebench/Cargo.toml
 
 echo "== cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
@@ -29,11 +29,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "== telemetry overhead bench (smoke)"
 cargo bench -p pata-bench --bench telemetry_overhead -- --smoke
 
-echo "== exploration reuse + copy-on-write fork bench (smoke)"
-# Enforces both stage-1 gates: caches cut live DFS steps by ≥30%, and
-# copy-on-write forking delivers ≥2x the live-step throughput of the
-# clone-based baseline — with report byte-identity asserted across caches
-# on/off, cow on/off, and threads 1/2/4.
+echo "== copy-on-write fork bench (smoke)"
+# Enforces the stage-1 gate: copy-on-write forking delivers ≥2x the
+# live-step throughput of the clone-based baseline — with report
+# byte-identity asserted across cow on/off and threads 1/2/4.
 cargo bench -p pata-bench --bench exploration -- --smoke
 
 echo "== persistence bench (smoke)"
@@ -53,13 +52,19 @@ trap 'rm -rf "$tmp_dir"' EXIT
 cargo run -q --release --bin pata -- corpus linux --scale 0.05 --seed 7 \
     --out "$tmp_dir/corp" >/dev/null
 cargo run -q --release --bin pata -- analyze "$tmp_dir"/corp/*/*.c \
-    --stats-json "$tmp_dir/stats.json" >/dev/null
-# Each metric serializes on one line: {"name": "stage.X", ..., "total_ns": N, ...}.
-stage_ns() {
-    grep "\"name\": \"stage.$1\"" "$tmp_dir/stats.json" \
+    --store "$tmp_dir/timing-store.json" --stats-json "$tmp_dir/stats.json" >/dev/null
+# Each metric serializes on one line: {"name": "X", ..., "total_ns": N, ...}.
+span_ns() {
+    grep "\"name\": \"$1\"" "$tmp_dir/stats.json" \
         | sed 's/.*"total_ns": \([0-9]*\).*/\1/' | head -n 1
 }
-echo "stage timing (ns): collect=$(stage_ns collect) explore=$(stage_ns explore) filter=$(stage_ns filter)"
+echo "stage timing (ns): store_load=$(span_ns driver.serve.store_load)" \
+    "compile=$(span_ns driver.serve.compile)" \
+    "collect=$(span_ns stage.collect)" \
+    "fingerprint=$(span_ns driver.serve.fingerprint)" \
+    "explore=$(span_ns stage.explore)" \
+    "filter=$(span_ns stage.filter)" \
+    "store_save=$(span_ns driver.serve.store_save)"
 
 echo "== serve round-trip (smoke)"
 # Start a daemon on a unix socket, analyze the generated corpus, touch one

@@ -211,6 +211,35 @@ fn unknown_flag_is_rejected_with_usage() {
 }
 
 #[test]
+fn removed_exploration_flags_are_unknown() {
+    let dir = std::env::temp_dir().join("pata_cli_removed_flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = write_demo(&dir);
+    let help = pata().args(["--help"]).output().unwrap();
+    let help = String::from_utf8_lossy(&help.stdout);
+    for flag in [
+        "--no-exploration-cache",
+        "--no-callee-memo",
+        "--fork-depth",
+        "--no-cow-state",
+    ] {
+        assert!(!help.contains(flag), "help still lists {flag}");
+        for args in [
+            vec!["analyze", file.to_str().unwrap(), flag],
+            vec!["serve", "--stdio", flag],
+        ] {
+            let out = pata().args(&args).output().unwrap();
+            assert!(!out.status.success(), "{args:?} must fail");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("unknown flag `{flag}`")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn help_enumerates_every_knob() {
     let out = pata().args(["--help"]).output().unwrap();
     assert!(out.status.success());
@@ -223,9 +252,6 @@ fn help_enumerates_every_knob() {
         "--resolve-fptrs",
         "--loops",
         "--threads",
-        "--no-exploration-cache",
-        "--no-callee-memo",
-        "--fork-depth",
         "--store",
         "--socket",
         "--stdio",
@@ -253,7 +279,7 @@ fn misspelled_flag_suggests_nearest_match() {
     std::fs::create_dir_all(&dir).unwrap();
     let file = write_demo(&dir);
     for (typo, suggestion) in [
-        ("--fork-dpeth", "--fork-depth"),
+        ("--stats-jsn", "--stats-json"),
         ("--theads", "--threads"),
         ("--fault-pan", "--fault-plan"),
     ] {
