@@ -41,9 +41,9 @@ pub trait Analyzer {
 /// Instantiates the full comparison roster (Table 8's baseline side).
 pub fn all_baselines() -> Vec<Box<dyn Analyzer>> {
     vec![
-        Box::new(intra::IntraPatternAnalyzer::default()),
-        Box::new(svf_null::SvfNullAnalyzer::default()),
-        Box::new(value_flow::ValueFlowLeakAnalyzer::default()),
+        Box::new(intra::IntraPatternAnalyzer),
+        Box::new(svf_null::SvfNullAnalyzer),
+        Box::new(value_flow::ValueFlowLeakAnalyzer),
         Box::new(pata_na::PataNaAnalyzer::default()),
     ]
 }

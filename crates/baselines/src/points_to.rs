@@ -85,11 +85,10 @@ impl PointsTo {
                             heap_counter += 1;
                         }
                         InstKind::Load { dst, addr } => cons.push(C::Load(*dst, *addr)),
-                        InstKind::Store { addr, val } => {
-                            if let Operand::Var(v) = val {
-                                cons.push(C::Store(*addr, *v));
-                            }
-                        }
+                        InstKind::Store {
+                            addr,
+                            val: Operand::Var(v),
+                        } => cons.push(C::Store(*addr, *v)),
                         // Field-insensitive: &q->f and &q[i] are treated as
                         // copies of the base pointer's target.
                         InstKind::Gep { dst, base, .. } | InstKind::Index { dst, base, .. } => {

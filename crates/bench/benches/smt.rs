@@ -32,7 +32,7 @@ fn main() {
         let f = s.fresh_symbol();
         let n = s.fresh_symbol();
         s.assert_cmp(CmpOp::Eq, Term::sym(p), Term::int(0));
-        s.assert_cmp(CmpOp::Eq, Term::sym(f), Term::sym(n).add(Term::int(4)));
+        s.assert_cmp(CmpOp::Eq, Term::sym(f), Term::sym(n) + Term::int(4));
         s.assert_cmp(CmpOp::Gt, Term::sym(n), Term::int(0));
         hold(s.check())
     });
@@ -41,8 +41,8 @@ fn main() {
         let mut s = Solver::new();
         let x = s.fresh_symbol();
         let y = s.fresh_symbol();
-        s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::sym(y).add(Term::int(2)));
-        s.assert_cmp(CmpOp::Ne, Term::sym(x).sub(Term::sym(y)), Term::int(2));
+        s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::sym(y) + Term::int(2));
+        s.assert_cmp(CmpOp::Ne, Term::sym(x) - Term::sym(y), Term::int(2));
         hold(s.check())
     });
 

@@ -9,7 +9,7 @@
 //! 2. `incremental`  — one scoped solver, suffix-only re-solving;
 //! 3. `inc+cache`    — incremental plus a cold canonical-key cache;
 //! 4. `warm cache`   — a second pass over the warm cache (the cross-run
-//!                     case: re-analysis after small edits, bench iterations).
+//!    case: re-analysis after small edits, bench iterations).
 //!
 //! All four must produce identical verdict streams — checked here, not just
 //! timed. The target (ISSUE 1): `inc+cache` at least 30% faster than

@@ -93,6 +93,16 @@ impl Parser {
         }
     }
 
+    /// Skips an array declarator's size up to and including its `]` (the
+    /// analysis is array-insensitive). Errors at end of input instead of
+    /// spinning on the `Eof` token, which `bump` never moves past.
+    fn skip_array_size(&mut self) -> Result<(), Diag> {
+        while !matches!(self.peek(), TokenKind::RBracket | TokenKind::Eof) {
+            self.bump();
+        }
+        self.expect(TokenKind::RBracket)
+    }
+
     fn err(&self, message: impl Into<String>) -> Diag {
         Diag::new(DiagKind::Parse, &self.file, self.line(), message)
     }
@@ -172,10 +182,7 @@ impl Parser {
                 // Fixed-size array fields become the element type (the
                 // analysis is array-insensitive anyway).
                 if self.eat(&TokenKind::LBracket) {
-                    while self.peek() != &TokenKind::RBracket {
-                        self.bump();
-                    }
-                    self.expect(TokenKind::RBracket)?;
+                    self.skip_array_size()?;
                 }
                 self.expect(TokenKind::Semi)?;
                 fields.push((fname, fty));
@@ -414,10 +421,7 @@ impl Parser {
             let name = self.expect_ident()?;
             let mut is_array = false;
             if self.eat(&TokenKind::LBracket) {
-                while self.peek() != &TokenKind::RBracket {
-                    self.bump();
-                }
-                self.expect(TokenKind::RBracket)?;
+                self.skip_array_size()?;
                 is_array = true;
             }
             let init = if self.eat(&TokenKind::Assign) {

@@ -360,3 +360,20 @@ fn lines_attributed_to_source() {
         .collect();
     assert!(lines.contains(&3), "{lines:?}");
 }
+
+/// Array declarators cut off before their `]` end in a diagnostic; the
+/// parser used to spin forever on the end-of-input token.
+#[test]
+fn unterminated_array_declarators_are_diagnosed() {
+    for src in [
+        "int f(int n) { int t[",
+        "int f(int n) { int t[4",
+        "struct s { int a[",
+        "struct s { int a[8",
+    ] {
+        assert!(
+            compile_one("fe.c", src).is_err(),
+            "{src:?} must not compile"
+        );
+    }
+}

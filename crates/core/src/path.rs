@@ -627,7 +627,7 @@ impl<'a> Explorer<'a> {
                     module.var(ap.base).kind != pata_ir::VarKind::Temp
                 })
                 .take(MAX_PATHS)
-                .map(|ap| ap.render(&name_of, &module.interner))
+                .map(|ap| ap.render(name_of, &module.interner))
                 .collect(),
             Some(TrackKey::Var(v)) => vec![name_of(v)],
             None => Vec::new(),
@@ -1059,7 +1059,6 @@ impl<'a> Explorer<'a> {
                         inst_id,
                     };
                     cx.transition(ml_id, dst_key, ml::S_NF, Some(entry));
-                    drop(cx);
                     self.push_heap(HeapObject {
                         key: dst_key,
                         loc: entry.origin_loc,
@@ -1227,7 +1226,7 @@ impl<'a> Explorer<'a> {
                             let si = self.graph.handle_store(*addr, *v);
                             self.count_unaware_alias_op(*v);
                             info.stored_val_key = Some(nkey(si.new_target));
-                            info.store_old_target = si.old_target.map(|n| nkey(n));
+                            info.store_old_target = si.old_target.map(nkey);
                         }
                         Operand::Const(c) => {
                             let si = self.graph.handle_store_const(*addr);
@@ -1239,7 +1238,7 @@ impl<'a> Explorer<'a> {
                                 Term::int(c.as_int()),
                             ));
                             info.stored_const = Some((key, *c));
-                            info.store_old_target = si.old_target.map(|n| nkey(n));
+                            info.store_old_target = si.old_target.map(nkey);
                         }
                     }
                 }
@@ -1548,9 +1547,9 @@ fn bin_term(op: pata_ir::BinOp, lhs: Term, rhs: Term) -> Term {
     use pata_ir::BinOp as B;
     use pata_smt::OpaqueOp as O;
     match op {
-        B::Add => lhs.add(rhs),
-        B::Sub => lhs.sub(rhs),
-        B::Mul => lhs.mul(rhs),
+        B::Add => lhs + rhs,
+        B::Sub => lhs - rhs,
+        B::Mul => lhs * rhs,
         B::Div => Term::opaque(O::Div, lhs, rhs),
         B::Rem => Term::opaque(O::Rem, lhs, rhs),
         B::And => Term::opaque(O::And, lhs, rhs),

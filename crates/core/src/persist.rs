@@ -12,10 +12,10 @@
 //!   input to change detection;
 //! * **per-root results** — the stage-1 candidates, exploration counters
 //!   and budget note of each analysis root, keyed by the root's *closure
-//!   fingerprint* (a hash over every function transitively reachable from
-//!   it). A root whose closure fingerprint is unchanged is *clean*: its
-//!   exploration is deterministic, so the cached candidates are exactly
-//!   what re-exploring would produce;
+//!   fingerprint* (a hash covering every function transitively reachable
+//!   from it). A root whose closure fingerprint is unchanged is *clean*:
+//!   its exploration is deterministic, so the cached candidates are
+//!   exactly what re-exploring would produce;
 //! * the **validation cache** — stage-2 conjunction verdicts under their
 //!   canonical keys (α-equivalent constraint systems share one entry).
 //!
@@ -32,6 +32,15 @@
 //! edit early in a file can shift the printed form of later functions and
 //! over-invalidate — but never under-invalidate, which is the soundness
 //! direction that matters.
+//!
+//! Closure fingerprints are Merkle hashes over the call graph's strongly
+//! connected components (`closure_fps`): one bottom-up pass hashes each
+//! component's members' `(name, fingerprint)` pairs together with the
+//! hashes of the components it calls, so every function's closure is
+//! fingerprinted in O(V+E) total rather than one reachability walk per
+//! root. A component's hash covers everything reachable from it, so a
+//! changed function moves the hash of exactly the roots that can reach
+//! it.
 
 use crate::checkers::BugKind;
 use crate::collector::CallGraph;
@@ -49,22 +58,35 @@ use std::path::Path;
 /// Version of the on-disk store schema. Bump on any change to the layout
 /// or meaning of the document; [`Store::parse`] treats a mismatch as a
 /// cold start, so old stores are silently discarded, never misread.
-pub const STORE_SCHEMA_VERSION: u64 = 2;
+pub const STORE_SCHEMA_VERSION: u64 = 3;
 
 // --------------------------------------------------------------------
 // Fingerprints
 // --------------------------------------------------------------------
 
-/// FNV-1a over a byte string. Stable across processes and platforms
-/// (unlike `std`'s `DefaultHasher`, which documents no such guarantee) —
-/// a hard requirement for fingerprints that outlive the process.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
+/// Streaming FNV-1a. Stable across processes and platforms (unlike
+/// `std`'s `DefaultHasher`, which documents no such guarantee) — a hard
+/// requirement for fingerprints that outlive the process.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf29ce484222325)
     }
-    h
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+}
+
+/// FNV-1a over a byte string.
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.write(bytes);
+    h.0
 }
 
 /// The per-function change-detection fingerprint: FNV-1a over the
@@ -191,48 +213,120 @@ impl FunctionDb {
     }
 }
 
-/// The closure fingerprint of `root`: a hash over the `(name,
-/// fingerprint)` pairs of every function transitively reachable from it
-/// through direct calls, in name order. With `resolve_fptrs` the explorer
-/// can enter *any* function whose address flows along a path, so the
-/// closure conservatively widens to the whole module.
-pub(crate) fn root_closure_fp(
+/// The closure fingerprint of every function, indexed by [`FuncId`]: a
+/// Merkle hash over the call graph's SCC condensation, computed bottom-up
+/// in one O(V+E) pass.
+///
+/// Each strongly connected component hashes its members' `(name,
+/// fingerprint)` pairs in name order, then the sorted, deduplicated hashes
+/// of the components it calls into. A function's closure fingerprint is
+/// its component's hash, so it covers every function transitively
+/// reachable through direct calls: a change to any of them changes the
+/// hash (up to 64-bit collisions), and a change to nothing reachable
+/// leaves it alone. With `resolve_fptrs` the explorer can enter *any*
+/// function whose address flows along a path, so every closure
+/// conservatively widens to the whole module: one corpus-wide hash.
+///
+/// The SCCs come from an iterative Tarjan walk, so deep call chains
+/// cannot overflow the stack.
+pub(crate) fn closure_fps(
     module: &Module,
     graph: &CallGraph,
-    root: FuncId,
     resolve_fptrs: bool,
     db: &FunctionDb,
-) -> u64 {
+) -> Vec<u64> {
     let n = module.functions().len();
-    let mut reachable = vec![false; n];
     if resolve_fptrs {
-        reachable = vec![true; n];
-    } else {
-        let mut stack = vec![root];
-        reachable[root.index()] = true;
-        while let Some(f) = stack.pop() {
-            for &callee in &graph.callees[f.index()] {
-                if !reachable[callee.index()] {
-                    reachable[callee.index()] = true;
-                    stack.push(callee);
+        return vec![db.corpus_fingerprint(); n];
+    }
+    const UNVISITED: u32 = u32::MAX;
+    let mut index = vec![UNVISITED; n];
+    let mut low = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    // SCC id of each function; ids are assigned in completion order, which
+    // is a reverse topological order of the condensation: every SCC a
+    // component calls into completes (and is hashed) before it.
+    let mut comp = vec![0usize; n];
+    let mut comp_hash: Vec<u64> = Vec::new();
+    let mut stack: Vec<usize> = Vec::new();
+    // The explicit DFS stack: (function, next callee position).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    let mut members: Vec<usize> = Vec::new();
+    let mut succs: Vec<u64> = Vec::new();
+    let mut next = 0u32;
+    for start in 0..n {
+        if index[start] != UNVISITED {
+            continue;
+        }
+        index[start] = next;
+        low[start] = next;
+        next += 1;
+        stack.push(start);
+        on_stack[start] = true;
+        frames.push((start, 0));
+        while let Some((v, pos)) = frames.last_mut() {
+            let v = *v;
+            if let Some(w) = graph.callees[v].get(*pos) {
+                *pos += 1;
+                let w = w.index();
+                if index[w] == UNVISITED {
+                    index[w] = next;
+                    low[w] = next;
+                    next += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(u, _)) = frames.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] != index[v] {
+                continue;
+            }
+            // `v` roots an SCC: pop its members and hash them.
+            let id = comp_hash.len();
+            members.clear();
+            loop {
+                let w = stack.pop().expect("SCC root is on the stack");
+                on_stack[w] = false;
+                comp[w] = id;
+                members.push(w);
+                if w == v {
+                    break;
                 }
             }
+            members.sort_unstable_by_key(|&f| module.function(FuncId::from_index(f)).name());
+            succs.clear();
+            for &f in &members {
+                for callee in &graph.callees[f] {
+                    let c = comp[callee.index()];
+                    if c != id {
+                        succs.push(comp_hash[c]);
+                    }
+                }
+            }
+            succs.sort_unstable();
+            succs.dedup();
+            let mut h = Fnv::new();
+            h.write(&(members.len() as u64).to_le_bytes());
+            for &f in &members {
+                let name = module.function(FuncId::from_index(f)).name();
+                h.write(name.as_bytes());
+                h.write(&[0]);
+                h.write(&db.entries.get(name).copied().unwrap_or(0).to_le_bytes());
+            }
+            for s in &succs {
+                h.write(&s.to_le_bytes());
+            }
+            comp_hash.push(h.0);
         }
     }
-    let mut names: Vec<&str> = module
-        .functions()
-        .iter()
-        .filter(|f| reachable[f.id().index()])
-        .map(|f| f.name())
-        .collect();
-    names.sort_unstable();
-    let mut text = String::new();
-    for name in names {
-        let fp = db.entries.get(name).copied().unwrap_or(0);
-        text.push_str(name);
-        text.push_str(&format!("={fp:016x};"));
-    }
-    fnv64(text.as_bytes())
+    comp.iter().map(|&c| comp_hash[c]).collect()
 }
 
 // --------------------------------------------------------------------
@@ -550,7 +644,7 @@ fn parse_hex64(s: &str) -> Option<u64> {
 }
 
 fn parse_hex_bytes(s: &str) -> Option<Vec<u8>> {
-    if s.len() % 2 != 0 {
+    if !s.len().is_multiple_of(2) {
         return None;
     }
     (0..s.len() / 2)
@@ -893,9 +987,9 @@ mod tests {
     fn sample_constraint() -> Constraint {
         Constraint::new(
             CmpOp::Le,
-            Term::sym(SymId(3)).add(Term::int(-2)).neg(),
+            -(Term::sym(SymId(3)) + Term::int(-2)),
             Term::opaque(OpaqueOp::Shr, Term::sym(SymId(1)), Term::int(4))
-                .mul(Term::sym(SymId(0)).sub(Term::int(7))),
+                * (Term::sym(SymId(0)) - Term::int(7)),
         )
     }
 
@@ -1120,6 +1214,94 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Reference oracle for `closure_fps`: a per-root walk over direct
+    /// calls. `reachable(graph, root)[f]` says whether `f` is in `root`'s
+    /// closure.
+    fn reachable(graph: &CallGraph, root: FuncId) -> Vec<bool> {
+        let mut seen = vec![false; graph.callees.len()];
+        let mut stack = vec![root];
+        seen[root.index()] = true;
+        while let Some(f) = stack.pop() {
+            for &callee in &graph.callees[f.index()] {
+                if !seen[callee.index()] {
+                    seen[callee.index()] = true;
+                    stack.push(callee);
+                }
+            }
+        }
+        seen
+    }
+
+    /// Reference closure fingerprint: a hash over the name-sorted `(name,
+    /// fingerprint)` list of the reachable set, one walk per root.
+    fn flat_closure_fp(module: &Module, graph: &CallGraph, root: FuncId, db: &FunctionDb) -> u64 {
+        let seen = reachable(graph, root);
+        let mut names: Vec<&str> = module
+            .functions()
+            .iter()
+            .filter(|f| seen[f.id().index()])
+            .map(|f| f.name())
+            .collect();
+        names.sort_unstable();
+        let mut text = String::new();
+        for name in names {
+            text.push_str(&format!("{name}={:016x};", db.entries[name]));
+        }
+        fnv64(text.as_bytes())
+    }
+
+    /// Checks `closure_fps` against the reachable-set oracle, taking every
+    /// function of `m` as a root:
+    /// * roots share a Merkle hash exactly when they share a flat closure
+    ///   fingerprint (equal reachable sets mean the same SCC);
+    /// * for every single-function fingerprint change, the roots whose
+    ///   hash moves are exactly the roots that can reach the function;
+    /// * with `resolve_fptrs`, every root's hash moves.
+    fn assert_merkle_matches_oracle(m: &Module) {
+        let cg = CallGraph::build(m);
+        let db = FunctionDb::build(m).expect("unique names");
+        let n = m.functions().len();
+        let ids: Vec<FuncId> = (0..n).map(FuncId::from_index).collect();
+        let base = closure_fps(m, &cg, false, &db);
+        let base_all = closure_fps(m, &cg, true, &db);
+        let reach: Vec<Vec<bool>> = ids.iter().map(|&r| reachable(&cg, r)).collect();
+        let flat: Vec<u64> = ids
+            .iter()
+            .map(|&r| flat_closure_fp(m, &cg, r, &db))
+            .collect();
+        for a in 0..n {
+            for b in 0..n {
+                assert_eq!(
+                    base[a] == base[b],
+                    flat[a] == flat[b],
+                    "grouping of {} and {}",
+                    m.function(ids[a]).name(),
+                    m.function(ids[b]).name()
+                );
+            }
+        }
+        for f in m.functions() {
+            let mut changed = db.clone();
+            *changed.entries.get_mut(f.name()).unwrap() ^= 0x9e37_79b9_7f4a_7c15;
+            let after = closure_fps(m, &cg, false, &changed);
+            for r in 0..n {
+                assert_eq!(
+                    after[r] != base[r],
+                    reach[r][f.id().index()],
+                    "root {} after changing {}",
+                    m.function(ids[r]).name(),
+                    f.name()
+                );
+            }
+            let after_all = closure_fps(m, &cg, true, &changed);
+            assert!(
+                after_all.iter().zip(&base_all).all(|(x, y)| x != y),
+                "with fptr resolution every root reacts to {}",
+                f.name()
+            );
+        }
+    }
+
     #[test]
     fn closure_fp_only_reacts_to_reachable_changes() {
         let src = r#"
@@ -1131,23 +1313,122 @@ mod tests {
         let m = pata_cc::compile_one("cf.c", src).unwrap();
         let db = FunctionDb::build(&m).unwrap();
         let cg = CallGraph::build(&m);
-        let top = m.function_by_name("top").unwrap();
-        let lonely = m.function_by_name("lonely").unwrap();
-        let top_fp = root_closure_fp(&m, &cg, top, false, &db);
-        let lonely_fp = root_closure_fp(&m, &cg, lonely, false, &db);
+        let top = m.function_by_name("top").unwrap().index();
+        let lonely = m.function_by_name("lonely").unwrap().index();
+        let before = closure_fps(&m, &cg, false, &db);
 
         // Change `leaf` by pretending its fingerprint moved: top's closure
         // reacts, lonely's does not.
         let mut db2 = db.clone();
         *db2.entries.get_mut("leaf").unwrap() ^= 1;
-        assert_ne!(root_closure_fp(&m, &cg, top, false, &db2), top_fp);
-        assert_eq!(root_closure_fp(&m, &cg, lonely, false, &db2), lonely_fp);
+        let after = closure_fps(&m, &cg, false, &db2);
+        assert_ne!(after[top], before[top]);
+        assert_eq!(after[lonely], before[lonely]);
 
         // With fptr resolution the closure is the whole module.
         assert_ne!(
-            root_closure_fp(&m, &cg, lonely, true, &db2),
-            root_closure_fp(&m, &cg, lonely, true, &db)
+            closure_fps(&m, &cg, true, &db2)[lonely],
+            closure_fps(&m, &cg, true, &db)[lonely]
         );
+    }
+
+    #[test]
+    fn merkle_closures_match_reachable_sets_on_cyclic_graphs() {
+        let src = r#"
+            void self_rec(int n) { if (n > 0) { self_rec(n - 1); } }
+            void self_top(void) { self_rec(3); }
+            void ping(int n) { if (n > 0) { pong(n - 1); } }
+            void pong(int n) { if (n > 0) { ping(n - 1); } leaf(n); }
+            void pair_top(void) { ping(2); }
+            void leaf(int n) { }
+            void cyc_a(int n) { cyc_b(n); }
+            void cyc_b(int n) { cyc_c(n); }
+            void cyc_c(int n) { if (n > 0) { cyc_a(n - 1); } }
+            void cyc_root1(void) { cyc_a(1); }
+            void cyc_root2(void) { cyc_b(1); leaf(2); }
+            void d_bot(int n) { }
+            void d_left(int n) { d_bot(n); }
+            void d_right(int n) { d_bot(n); }
+            void d_top(void) { d_left(1); d_right(2); }
+        "#;
+        let m = pata_cc::compile_one("cyc.c", src).unwrap();
+        assert_merkle_matches_oracle(&m);
+        // The 3-cycle's members share one hash; its two roots differ.
+        let cg = CallGraph::build(&m);
+        let db = FunctionDb::build(&m).unwrap();
+        let fps = closure_fps(&m, &cg, false, &db);
+        let fp = |name: &str| fps[m.function_by_name(name).unwrap().index()];
+        assert_eq!(fp("cyc_a"), fp("cyc_b"));
+        assert_eq!(fp("cyc_b"), fp("cyc_c"));
+        assert_eq!(fp("ping"), fp("pong"));
+        assert_ne!(fp("cyc_root1"), fp("cyc_root2"));
+        assert_ne!(fp("d_left"), fp("d_right"));
+    }
+
+    /// A seeded random program: `n` functions, each calling up to three
+    /// others drawn uniformly (self-calls and cycles included).
+    fn random_program(seed: u64, n: usize) -> String {
+        let mut rng = pata_corpus::Prng::seed_from_u64(seed);
+        let mut src = String::new();
+        for i in 0..n {
+            src.push_str(&format!("void g{i}(int n) {{"));
+            for _ in 0..rng.gen_range(0, 4) {
+                src.push_str(&format!(" g{}(n);", rng.gen_range(0, n)));
+            }
+            src.push_str(" }\n");
+        }
+        src
+    }
+
+    #[test]
+    fn merkle_closures_match_reachable_sets_on_seeded_programs() {
+        for seed in 0..24u64 {
+            let n = 4 + (seed as usize * 7) % 29;
+            let src = random_program(seed, n);
+            let m = pata_cc::compile_one("rand.c", &src).unwrap();
+            assert_merkle_matches_oracle(&m);
+        }
+    }
+
+    #[test]
+    fn merkle_closures_match_reachable_sets_on_generated_corpora() {
+        for (profile, seed) in [
+            (pata_corpus::OsProfile::zephyr(), 1),
+            (pata_corpus::OsProfile::linux(), 2),
+            (pata_corpus::OsProfile::tencent(), 3),
+        ] {
+            let corpus = pata_corpus::Corpus::generate(&profile.with_scale(0.4).with_seed(seed));
+            let m = corpus.compile().expect("corpus compiles");
+            assert_merkle_matches_oracle(&m);
+        }
+    }
+
+    #[test]
+    fn closure_fps_survive_deep_call_chains() {
+        // A 100k-deep chain would overflow a recursive SCC walk on the
+        // default test-thread stack.
+        let depth = 100_000;
+        let mut m = Module::new();
+        let file = m.add_file("chain.c");
+        // `c{i}` calls `c{i - 1}`, so `c0` is the leaf at the bottom.
+        for i in 0..depth {
+            let mut b = pata_ir::FunctionBuilder::new(&mut m, &format!("c{i}"), file);
+            if i > 0 {
+                let callee = pata_ir::Callee::Direct(FuncId::from_index(i - 1));
+                b.call(None, callee, Vec::new(), 1);
+            }
+            b.ret(None, 1);
+            b.finish();
+        }
+        let cg = CallGraph::build(&m);
+        let mut db = FunctionDb::default();
+        for f in m.functions() {
+            db.entries.insert(f.name().to_owned(), 1);
+        }
+        let before = closure_fps(&m, &cg, false, &db);
+        *db.entries.get_mut("c0").unwrap() = 2;
+        let after = closure_fps(&m, &cg, false, &db);
+        assert!(before.iter().zip(&after).all(|(x, y)| x != y));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::driver::{Pata, RootRun};
 use crate::faultinject;
 use crate::filter;
 use crate::persist::{
-    config_fingerprint, fnv64, root_closure_fp, FunctionDb, Store, StoredBug, StoredRoot,
+    closure_fps, config_fingerprint, fnv64, FunctionDb, Store, StoredBug, StoredRoot,
 };
 use crate::registry::CheckerRegistry;
 use crate::report::{DegradedRoot, PossibleBug, Report};
@@ -402,10 +402,10 @@ impl AnalysisSession {
             unchanged_prefix,
         );
         let closures: Vec<u64> = match &db {
-            Some(db) => roots
-                .iter()
-                .map(|&r| root_closure_fp(&module, &call_graph, r, config.resolve_fptrs, db))
-                .collect(),
+            Some(db) => {
+                let fps = closure_fps(&module, &call_graph, config.resolve_fptrs, db);
+                roots.iter().map(|r| fps[r.index()]).collect()
+            }
             None => vec![0; roots.len()],
         };
         let warm_start = self.warm.is_some();

@@ -127,11 +127,7 @@ impl Histogram {
 
     /// Mean sample in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.total_ns / self.count
-        }
+        self.total_ns.checked_div(self.count).unwrap_or(0)
     }
 
     /// Non-empty buckets as `(bucket_index, count)` pairs — the sparse

@@ -584,8 +584,8 @@ mod tests {
 
     #[test]
     fn cache_key_distinguishes_different_structure() {
-        let a = vec![eq0(0), ne0(0)]; // same symbol: unsat
-        let b = vec![eq0(0), ne0(1)]; // different symbols: sat
+        let a = [eq0(0), ne0(0)]; // same symbol: unsat
+        let b = [eq0(0), ne0(1)]; // different symbols: sat
         let ka = canonical_key(&a.iter().collect::<Vec<_>>());
         let kb = canonical_key(&b.iter().collect::<Vec<_>>());
         assert_ne!(ka, kb);

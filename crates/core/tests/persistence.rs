@@ -291,3 +291,236 @@ fn validation_verdicts_survive_restart() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// --------------------------------------------------------------------
+// Warm equals cold over seeded edit scripts
+// --------------------------------------------------------------------
+
+/// One function of the edit-script corpus: `int name(int *p, int n)`,
+/// whose body shape is picked by `variant` and which calls each of
+/// `callees` under an `n > 0` guard.
+#[derive(Clone, Debug)]
+struct Func {
+    name: String,
+    variant: usize,
+    callees: Vec<String>,
+}
+
+impl Func {
+    fn new(name: &str, variant: usize, callees: &[&str]) -> Func {
+        Func {
+            name: name.to_owned(),
+            variant,
+            callees: callees.iter().map(|c| (*c).to_owned()).collect(),
+        }
+    }
+
+    fn text(&self) -> String {
+        let body = match self.variant % 4 {
+            // Null check then an unconditional dereference: a NPD report.
+            0 => "if (p == NULL) { } x = *p;",
+            1 => "if (p == NULL) { return 0; } x = *p;",
+            // An early return past an allocation: a leak report.
+            2 => "int *m = malloc(n); if (m == NULL) { return -1; } if (n < 0) { return -2; } free(m);",
+            _ => "x = n + 1;",
+        };
+        let mut text = format!(
+            "int {}(int *p, int n) {{\n    int x = 0;\n    {body}\n",
+            self.name
+        );
+        for c in &self.callees {
+            text.push_str(&format!("    if (n > 0) {{ x = x + {c}(p, n - 1); }}\n"));
+        }
+        text.push_str("    return x;\n}\n");
+        text
+    }
+}
+
+/// The edit-script corpus: three files of functions. It starts with a
+/// mutually recursive pair under a root and a leaf three calls below its
+/// root, so edits reach functions inside a call-graph cycle and deep in a
+/// closure.
+fn edit_script_corpus() -> Vec<Vec<Func>> {
+    vec![
+        vec![
+            Func::new("rec_top", 3, &["rec_even"]),
+            Func::new("rec_even", 1, &["rec_odd"]),
+            Func::new("rec_odd", 3, &["rec_even", "shared"]),
+        ],
+        vec![
+            Func::new("deep_top", 3, &["deep_mid1"]),
+            Func::new("deep_mid1", 3, &["deep_mid2"]),
+            Func::new("deep_mid2", 1, &["deep_leaf"]),
+            Func::new("deep_leaf", 1, &[]),
+        ],
+        vec![
+            Func::new("shared", 3, &[]),
+            Func::new("solo", 2, &[]),
+            Func::new("user", 0, &["shared"]),
+        ],
+    ]
+}
+
+const EDIT_FILES: [&str; 3] = ["drivers/rec.c", "drivers/deep.c", "drivers/misc.c"];
+
+/// The functions the script never removes: the recursive pair, the deep
+/// chain and their roots.
+const FIXED: [&str; 7] = [
+    "rec_top",
+    "rec_even",
+    "rec_odd",
+    "deep_top",
+    "deep_mid1",
+    "deep_mid2",
+    "deep_leaf",
+];
+
+fn render(files: &[Vec<Func>]) -> Vec<(String, String)> {
+    EDIT_FILES
+        .iter()
+        .zip(files)
+        .map(|(name, funcs)| {
+            let text: String = funcs.iter().map(Func::text).collect();
+            ((*name).to_owned(), text)
+        })
+        .collect()
+}
+
+fn find<'a>(files: &'a mut [Vec<Func>], name: &str) -> &'a mut Func {
+    files
+        .iter_mut()
+        .flatten()
+        .find(|f| f.name == name)
+        .expect("function exists")
+}
+
+/// Applies one seeded edit and returns a description of it. Every fourth
+/// step edits a member of the recursive pair and every fourth step (offset
+/// by one) the deep leaf; the rest add, remove or modify a random function,
+/// including its call edges.
+fn edit(
+    files: &mut [Vec<Func>],
+    rng: &mut pata_corpus::Prng,
+    step: usize,
+    fresh: &mut usize,
+) -> String {
+    let names: Vec<String> = files.iter().flatten().map(|f| f.name.clone()).collect();
+    match step % 4 {
+        0 => {
+            let name = if rng.gen_range(0, 2) == 0 {
+                "rec_even"
+            } else {
+                "rec_odd"
+            };
+            let f = find(files, name);
+            f.variant = (f.variant + 1 + rng.gen_range(0, 3)) % 4;
+            format!("modify {name} -> variant {}", f.variant)
+        }
+        1 => {
+            let f = find(files, "deep_leaf");
+            f.variant = (f.variant + 1 + rng.gen_range(0, 3)) % 4;
+            format!("modify deep_leaf -> variant {}", f.variant)
+        }
+        _ => match rng.gen_range(0, 4) {
+            0 => {
+                let name = format!("gen{fresh}");
+                *fresh += 1;
+                let mut callees = Vec::new();
+                for _ in 0..rng.gen_range(0, 3) {
+                    callees.push(rng.choose(&names).clone());
+                }
+                let func = Func {
+                    name: name.clone(),
+                    variant: rng.gen_range(0, 4),
+                    callees,
+                };
+                let file = rng.gen_range(0, files.len());
+                let at = rng.gen_range(0, files[file].len() + 1);
+                files[file].insert(at, func);
+                format!("add {name} to file {file}")
+            }
+            1 => {
+                let removable: Vec<&String> = names
+                    .iter()
+                    .filter(|n| !FIXED.contains(&n.as_str()))
+                    .collect();
+                if removable.is_empty() {
+                    return "remove: nothing removable".to_owned();
+                }
+                let name = (*rng.choose(&removable)).clone();
+                for funcs in files.iter_mut() {
+                    funcs.retain(|f| f.name != name);
+                }
+                format!("remove {name}")
+            }
+            2 => {
+                let name = rng.choose(&names).clone();
+                let callee = rng.choose(&names).clone();
+                let f = find(files, &name);
+                if let Some(i) = f.callees.iter().position(|c| *c == callee) {
+                    f.callees.remove(i);
+                    format!("drop call {name} -> {callee}")
+                } else {
+                    f.callees.push(callee.clone());
+                    format!("add call {name} -> {callee}")
+                }
+            }
+            _ => {
+                let name = rng.choose(&names).clone();
+                let f = find(files, &name);
+                f.variant = (f.variant + 1 + rng.gen_range(0, 3)) % 4;
+                format!("modify {name} -> variant {}", f.variant)
+            }
+        },
+    }
+}
+
+/// ROADMAP item 4: after every step of a seeded add/remove/modify script,
+/// the long-lived in-memory session, a session restarted from the on-disk
+/// store and a fresh cold session all return the same report, at 1 and 2
+/// threads.
+#[test]
+fn warm_equals_cold_over_seeded_edit_scripts() {
+    const STEPS: usize = 24;
+    for seed in [0x5eed_0001u64, 0x5eed_0002] {
+        let dir = tempdir(&format!("edit-script-{seed:x}"));
+        let mut rng = pata_corpus::Prng::seed_from_u64(seed);
+        let mut files = edit_script_corpus();
+        let mut fresh = 0;
+        let mut live: Vec<AnalysisSession> = [1, 2]
+            .iter()
+            .map(|&t| AnalysisSession::new(config(t)))
+            .collect();
+        let mut clean_roots = 0;
+        for step in 0..=STEPS {
+            let what = if step == 0 {
+                "initial corpus".to_owned()
+            } else {
+                edit(&mut files, &mut rng, step, &mut fresh)
+            };
+            let sources = render(&files);
+            let borrowed: Vec<(&str, &str)> = sources
+                .iter()
+                .map(|(n, t)| (n.as_str(), t.as_str()))
+                .collect();
+            let req = request(&borrowed);
+            let cold = AnalysisSession::new(config(1)).analyze(&req).unwrap();
+            let expected = cold.report.to_json();
+            for (i, threads) in [1usize, 2].into_iter().enumerate() {
+                let ctx = format!("seed {seed:x} step {step} ({what}), {threads} threads");
+                let warm = live[i].analyze(&req).unwrap();
+                assert_eq!(warm.report.to_json(), expected, "in-memory warm, {ctx}");
+                clean_roots += warm.incremental.clean_roots;
+                let store = dir.join(format!("store-{threads}.json"));
+                let restarted = run(&store, threads, &borrowed);
+                assert_eq!(restarted.report.to_json(), expected, "restarted, {ctx}");
+                if threads > 1 {
+                    let cold_t = AnalysisSession::new(config(threads)).analyze(&req).unwrap();
+                    assert_eq!(cold_t.report.to_json(), expected, "cold, {ctx}");
+                }
+            }
+        }
+        assert!(clean_roots > 0, "the script must exercise warm reuse");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

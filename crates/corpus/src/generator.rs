@@ -88,7 +88,7 @@ impl Corpus {
                                 "trap_uva_array" => 2,
                                 _ => 1,
                             };
-                            std::iter::repeat(t).take(w)
+                            std::iter::repeat_n(t, w)
                         })
                         .collect();
                     let &&(name, t) = rng.choose(&weighted);
@@ -156,7 +156,7 @@ fn module_noun(rng: &mut Prng) -> &'static str {
         "timer", "sched", "irq", "pm", "clk", "regmap", "bridge", "codec", "sensor", "radio",
         "mesh", "coap", "mqtt", "shell", "flash", "pwm", "adc", "wdt",
     ];
-    *rng.choose(NOUNS)
+    rng.choose::<&str>(NOUNS)
 }
 
 type Entry = (GroundTruth, bool);

@@ -9,11 +9,12 @@ use crate::module::StructId;
 use std::fmt;
 
 /// A PIR type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Type {
     /// The `void` type (function returns only).
     Void,
     /// A machine integer (mini-C `int`; also used for `char`, `long`, …).
+    #[default]
     Int,
     /// A boolean produced by comparison instructions.
     Bool,
@@ -82,12 +83,6 @@ impl Type {
             Type::Ptr(inner) => Some(inner),
             _ => None,
         }
-    }
-}
-
-impl Default for Type {
-    fn default() -> Self {
-        Type::Int
     }
 }
 

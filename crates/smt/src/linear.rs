@@ -6,6 +6,7 @@
 
 use crate::term::{OpaqueOp, SymId, Term};
 use std::collections::BTreeMap;
+use std::ops::{Add, Sub};
 
 /// A linear expression: `Σ coeff·sym + konst`.
 ///
@@ -47,24 +48,6 @@ impl LinExpr {
         if *entry == 0 {
             self.coeffs.remove(&sym);
         }
-    }
-
-    /// `self + other`.
-    pub fn add(mut self, other: &LinExpr) -> LinExpr {
-        for (&s, &c) in &other.coeffs {
-            self.add_term(s, c);
-        }
-        self.konst = self.konst.saturating_add(other.konst);
-        self
-    }
-
-    /// `self - other`.
-    pub fn sub(mut self, other: &LinExpr) -> LinExpr {
-        for (&s, &c) in &other.coeffs {
-            self.add_term(s, -c);
-        }
-        self.konst = self.konst.saturating_sub(other.konst);
-        self
     }
 
     /// `self * k`.
@@ -120,6 +103,30 @@ impl LinExpr {
     }
 }
 
+/// `self + other`.
+impl Add<&LinExpr> for LinExpr {
+    type Output = LinExpr;
+    fn add(mut self, other: &LinExpr) -> LinExpr {
+        for (&s, &c) in &other.coeffs {
+            self.add_term(s, c);
+        }
+        self.konst = self.konst.saturating_add(other.konst);
+        self
+    }
+}
+
+/// `self - other`.
+impl Sub<&LinExpr> for LinExpr {
+    type Output = LinExpr;
+    fn sub(mut self, other: &LinExpr) -> LinExpr {
+        for (&s, &c) in &other.coeffs {
+            self.add_term(s, -c);
+        }
+        self.konst = self.konst.saturating_sub(other.konst);
+        self
+    }
+}
+
 /// A canonical key identifying an opaque application for congruence
 /// hash-consing: same operator + same linearized operands ⇒ same symbol.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -148,9 +155,9 @@ pub fn linearize<I: OpaqueInterner>(term: &Term, interner: &mut I) -> LinExpr {
     match term {
         Term::Const(v) => LinExpr::constant(*v),
         Term::Sym(s) => LinExpr::symbol(*s),
-        Term::Add(a, b) => linearize(a, interner).add(&linearize(b, interner)),
-        Term::Sub(a, b) => linearize(a, interner).sub(&linearize(b, interner)),
-        Term::Neg(a) => LinExpr::zero().sub(&linearize(a, interner)),
+        Term::Add(a, b) => linearize(a, interner) + &linearize(b, interner),
+        Term::Sub(a, b) => linearize(a, interner) - &linearize(b, interner),
+        Term::Neg(a) => LinExpr::zero() - &linearize(a, interner),
         Term::Mul(a, b) => {
             let la = linearize(a, interner);
             let lb = linearize(b, interner);
@@ -246,9 +253,7 @@ mod tests {
         let mut i = TestInterner::new();
         // (x + 1) - (x - 2) == 3
         let x = SymId(0);
-        let t = Term::sym(x)
-            .add(Term::int(1))
-            .sub(Term::sym(x).sub(Term::int(2)));
+        let t = Term::sym(x) + Term::int(1) - (Term::sym(x) - Term::int(2));
         let lin = linearize(&t, &mut i);
         assert_eq!(lin.as_const(), Some(3));
     }
@@ -257,7 +262,7 @@ mod tests {
     fn difference_form_detected() {
         let mut i = TestInterner::new();
         let (x, y) = (SymId(0), SymId(1));
-        let t = Term::sym(x).sub(Term::sym(y)).add(Term::int(5));
+        let t = Term::sym(x) - Term::sym(y) + Term::int(5);
         let lin = linearize(&t, &mut i);
         assert_eq!(lin.as_difference(), Some((x, y, 5)));
     }
@@ -266,7 +271,7 @@ mod tests {
     fn mul_by_const_is_linear() {
         let mut i = TestInterner::new();
         let x = SymId(0);
-        let t = Term::sym(x).mul(Term::int(3)).add(Term::int(1));
+        let t = Term::sym(x) * Term::int(3) + Term::int(1);
         let lin = linearize(&t, &mut i);
         assert_eq!(lin.coeffs.get(&x), Some(&3));
         assert_eq!(lin.konst, 1);
@@ -277,8 +282,8 @@ mod tests {
     fn nonlinear_mul_congruent() {
         let mut i = TestInterner::new();
         let (x, y) = (SymId(0), SymId(1));
-        let t1 = Term::sym(x).mul(Term::sym(y));
-        let t2 = Term::sym(x).mul(Term::sym(y));
+        let t1 = Term::sym(x) * Term::sym(y);
+        let t2 = Term::sym(x) * Term::sym(y);
         let l1 = linearize(&t1, &mut i);
         let l2 = linearize(&t2, &mut i);
         assert_eq!(l1, l2);
@@ -297,7 +302,7 @@ mod tests {
     fn single_symbol_form() {
         let mut i = TestInterner::new();
         let x = SymId(7);
-        let t = Term::int(4).sub(Term::sym(x));
+        let t = Term::int(4) - Term::sym(x);
         let lin = linearize(&t, &mut i);
         assert_eq!(lin.as_single(), Some((x, -1, 4)));
     }

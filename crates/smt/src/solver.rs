@@ -106,7 +106,7 @@ struct Scope {
 /// let mut s = Solver::new();
 /// let x = s.fresh_symbol();
 /// let y = s.fresh_symbol();
-/// s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::sym(y).add(Term::int(1)));
+/// s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::sym(y) + Term::int(1));
 /// s.push();
 /// s.assert_cmp(CmpOp::Lt, Term::sym(x), Term::sym(y));
 /// assert_eq!(s.check(), SatResult::Unsat); // x == y+1 contradicts x < y
@@ -196,7 +196,7 @@ impl Solver {
         };
         let l = linearize(&c.lhs, &mut view);
         let r = linearize(&c.rhs, &mut view);
-        let diff = l.sub(&r); // constraint: diff op 0
+        let diff = l - &r; // constraint: diff op 0
         match classify(&diff, c.op) {
             Classified::True => {}
             Classified::False => {
@@ -466,8 +466,8 @@ fn classify(diff: &LinExpr, op: CmpOp) -> Classified {
 
     // Reduce Gt/Ge to Lt/Le by negating the expression.
     let (expr, op) = match op {
-        CmpOp::Gt => (LinExpr::zero().sub(diff), CmpOp::Lt),
-        CmpOp::Ge => (LinExpr::zero().sub(diff), CmpOp::Le),
+        CmpOp::Gt => (LinExpr::zero() - diff, CmpOp::Lt),
+        CmpOp::Ge => (LinExpr::zero() - diff, CmpOp::Le),
         _ => (diff.clone(), op),
     };
     // Strict to non-strict over the integers.
@@ -606,7 +606,7 @@ mod tests {
     fn offset_equalities() {
         let mut s = Solver::new();
         let (x, y) = two_syms(&mut s);
-        s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::sym(y).add(Term::int(1)));
+        s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::sym(y) + Term::int(1));
         s.assert_cmp(CmpOp::Lt, Term::sym(x), Term::sym(y));
         assert_eq!(s.check(), SatResult::Unsat);
     }
@@ -633,8 +633,8 @@ mod tests {
     fn diseq_on_pinned_difference() {
         let mut s = Solver::new();
         let (x, y) = two_syms(&mut s);
-        s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::sym(y).add(Term::int(2)));
-        s.assert_cmp(CmpOp::Ne, Term::sym(x).sub(Term::sym(y)), Term::int(2));
+        s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::sym(y) + Term::int(2));
+        s.assert_cmp(CmpOp::Ne, Term::sym(x) - Term::sym(y), Term::int(2));
         assert_eq!(s.check(), SatResult::Unsat);
     }
 
@@ -652,7 +652,7 @@ mod tests {
         let mut s = Solver::new();
         let x = s.fresh_symbol();
         // 2x == 5 has no integer solution.
-        s.assert_cmp(CmpOp::Eq, Term::sym(x).mul(Term::int(2)), Term::int(5));
+        s.assert_cmp(CmpOp::Eq, Term::sym(x) * Term::int(2), Term::int(5));
         assert_eq!(s.check(), SatResult::Unsat);
     }
 
@@ -661,7 +661,7 @@ mod tests {
         let mut s = Solver::new();
         let x = s.fresh_symbol();
         // 2x <= 5 ⇒ x <= 2; x >= 3 contradicts.
-        s.assert_cmp(CmpOp::Le, Term::sym(x).mul(Term::int(2)), Term::int(5));
+        s.assert_cmp(CmpOp::Le, Term::sym(x) * Term::int(2), Term::int(5));
         s.assert_cmp(CmpOp::Ge, Term::sym(x), Term::int(3));
         assert_eq!(s.check(), SatResult::Unsat);
     }
@@ -694,10 +694,7 @@ mod tests {
         // x*y + z > 0 with three symbols — outside the fragment.
         s.assert_cmp(
             CmpOp::Gt,
-            Term::sym(x)
-                .mul(Term::sym(y))
-                .add(Term::sym(z))
-                .add(Term::sym(x)),
+            Term::sym(x) * Term::sym(y) + Term::sym(z) + Term::sym(x),
             Term::int(0),
         );
         assert_eq!(s.check(), SatResult::Unknown);
@@ -808,7 +805,7 @@ mod tests {
         s.assert_cmp(CmpOp::Eq, Term::int(1), Term::int(2)); // constant false
         s.assert_cmp(
             CmpOp::Gt,
-            Term::sym(x).mul(Term::sym(y)).add(Term::sym(x)),
+            Term::sym(x) * Term::sym(y) + Term::sym(x),
             Term::int(0),
         );
         assert_eq!(s.check(), SatResult::Unsat);
@@ -850,7 +847,7 @@ mod tests {
         assert_eq!(s.check(), SatResult::Sat);
         s.push();
         s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::int(3));
-        s.assert_cmp(CmpOp::Eq, Term::sym(y), Term::sym(x).add(Term::int(2)));
+        s.assert_cmp(CmpOp::Eq, Term::sym(y), Term::sym(x) + Term::int(2));
         assert_eq!(s.check(), SatResult::Sat);
         s.pop();
     }
@@ -869,7 +866,7 @@ mod tests {
                 2 => CmpOp::Ne,
                 _ => CmpOp::Lt,
             };
-            Constraint::new(op, Term::sym(a), Term::sym(b).add(Term::int(c)))
+            Constraint::new(op, Term::sym(a), Term::sym(b) + Term::int(c))
         };
         let prefix: Vec<Constraint> = (0..6).map(|i| mk(i * 7 + 1)).collect();
         for suffix_seed in 0..40u64 {

@@ -12,6 +12,7 @@
 //! an alias set's symbol.
 
 use std::fmt;
+use std::ops::{Add, Mul, Neg, Sub};
 
 /// An SMT symbol. In PATA every symbol stands for one alias set (Def. 4),
 /// which is what makes the constraint systems small.
@@ -128,28 +129,40 @@ impl Term {
         Term::Sym(s)
     }
 
-    /// `self + rhs`.
-    pub fn add(self, rhs: Term) -> Term {
-        Term::Add(Box::new(self), Box::new(rhs))
-    }
-
-    /// `self - rhs`.
-    pub fn sub(self, rhs: Term) -> Term {
-        Term::Sub(Box::new(self), Box::new(rhs))
-    }
-
-    /// `self * rhs`.
-    pub fn mul(self, rhs: Term) -> Term {
-        Term::Mul(Box::new(self), Box::new(rhs))
-    }
-
     /// An uninterpreted application.
     pub fn opaque(op: OpaqueOp, lhs: Term, rhs: Term) -> Term {
         Term::Opaque(op, Box::new(lhs), Box::new(rhs))
     }
+}
 
-    /// `-self`.
-    pub fn neg(self) -> Term {
+/// `self + rhs`.
+impl Add for Term {
+    type Output = Term;
+    fn add(self, rhs: Term) -> Term {
+        Term::Add(Box::new(self), Box::new(rhs))
+    }
+}
+
+/// `self - rhs`.
+impl Sub for Term {
+    type Output = Term;
+    fn sub(self, rhs: Term) -> Term {
+        Term::Sub(Box::new(self), Box::new(rhs))
+    }
+}
+
+/// `self * rhs`.
+impl Mul for Term {
+    type Output = Term;
+    fn mul(self, rhs: Term) -> Term {
+        Term::Mul(Box::new(self), Box::new(rhs))
+    }
+}
+
+/// `-self`.
+impl Neg for Term {
+    type Output = Term;
+    fn neg(self) -> Term {
         Term::Neg(Box::new(self))
     }
 }
@@ -212,9 +225,7 @@ mod tests {
 
     #[test]
     fn term_builders_display() {
-        let t = Term::sym(SymId(0))
-            .add(Term::int(1))
-            .sub(Term::sym(SymId(1)));
+        let t = Term::sym(SymId(0)) + Term::int(1) - Term::sym(SymId(1));
         assert_eq!(t.to_string(), "((x0 + 1) - x1)");
     }
 }

@@ -56,11 +56,7 @@ fn npd_branch_shape_feasible() {
     let (p, state, count) = (syms[0], syms[1], syms[2]);
     s.assert_cmp(CmpOp::Eq, Term::sym(p), Term::int(0));
     s.assert_cmp(CmpOp::Gt, Term::sym(state), Term::int(2));
-    s.assert_cmp(
-        CmpOp::Eq,
-        Term::sym(count),
-        Term::sym(state).add(Term::int(1)),
-    );
+    s.assert_cmp(CmpOp::Eq, Term::sym(count), Term::sym(state) + Term::int(1));
     assert_eq!(s.check(), SatResult::Sat);
 }
 
@@ -71,7 +67,7 @@ fn loop_exit_shape() {
     let (i0, i1, n) = (syms[0], syms[1], syms[2]);
     s.assert_cmp(CmpOp::Eq, Term::sym(i0), Term::int(0));
     s.assert_cmp(CmpOp::Lt, Term::sym(i0), Term::sym(n));
-    s.assert_cmp(CmpOp::Eq, Term::sym(i1), Term::sym(i0).add(Term::int(1)));
+    s.assert_cmp(CmpOp::Eq, Term::sym(i1), Term::sym(i0) + Term::int(1));
     s.assert_cmp(CmpOp::Ge, Term::sym(i1), Term::sym(n));
     assert_eq!(s.check(), SatResult::Sat);
     // Additionally requiring n >= 2 contradicts.
@@ -83,7 +79,7 @@ fn loop_exit_shape() {
 fn subtraction_and_negation() {
     let (mut s, syms) = solver_with(2);
     let (a, b) = (syms[0], syms[1]);
-    s.assert_cmp(CmpOp::Eq, Term::sym(a).sub(Term::sym(b)), Term::int(10));
+    s.assert_cmp(CmpOp::Eq, Term::sym(a) - Term::sym(b), Term::int(10));
     s.assert_cmp(CmpOp::Eq, Term::sym(b), Term::int(-3));
     s.assert_cmp(CmpOp::Ne, Term::sym(a), Term::int(7));
     assert_eq!(s.check(), SatResult::Unsat, "a must be 7");
@@ -95,7 +91,7 @@ fn multiplication_by_negative_constant() {
     // -2x <= -10  ⇒  x >= 5.
     s.assert_cmp(
         CmpOp::Le,
-        Term::sym(syms[0]).mul(Term::int(-2)),
+        Term::sym(syms[0]) * Term::int(-2),
         Term::int(-10),
     );
     s.assert_cmp(CmpOp::Lt, Term::sym(syms[0]), Term::int(5));
@@ -131,7 +127,7 @@ fn large_magnitudes_no_overflow_panic() {
     s.assert_cmp(
         CmpOp::Eq,
         Term::sym(syms[1]),
-        Term::sym(syms[0]).add(Term::int(i64::MAX / 2)),
+        Term::sym(syms[0]) + Term::int(i64::MAX / 2),
     );
     // Saturating arithmetic: must not panic; result may be Sat or Unknown.
     let r = s.check();
@@ -155,10 +151,7 @@ fn stats_track_unknown_fragment() {
     let (mut s, syms) = solver_with(3);
     s.assert_cmp(
         CmpOp::Gt,
-        Term::sym(syms[0])
-            .mul(Term::sym(syms[1]))
-            .add(Term::sym(syms[2]))
-            .add(Term::sym(syms[0])),
+        Term::sym(syms[0]) * Term::sym(syms[1]) + Term::sym(syms[2]) + Term::sym(syms[0]),
         Term::int(0),
     );
     let (r, stats) = s.check_with_stats();

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Tier-1 CI: formatting, release build, full test suite. Fully offline —
+# Tier-1 CI: formatting, lints, release build, full test suite. Fully offline —
 # the workspace has zero external dependencies (see Cargo.lock: workspace
 # members only), so no registry access is ever needed.
 set -eu
@@ -10,6 +10,9 @@ export CARGO_NET_OFFLINE=true
 
 echo "== cargo fmt --check"
 cargo fmt --check
+
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --release

@@ -195,6 +195,10 @@ fn nearest_flag(name: &str, allowed: &[&[(&str, bool)]]) -> Option<String> {
         .map(|(_, n)| n.to_owned())
 }
 
+/// Flags parsed from a command line: each name with its value, if it
+/// takes one.
+type Flags = Vec<(String, Option<String>)>;
+
 /// Splits `args` into positional arguments and flags, rejecting any flag
 /// not in the allowlists. An unknown flag is a hard error (non-zero exit)
 /// naming the offending flag, with a nearest-match suggestion when one is
@@ -202,7 +206,7 @@ fn nearest_flag(name: &str, allowed: &[&[(&str, bool)]]) -> Option<String> {
 fn split_args(
     args: &[String],
     allowed: &[&[(&str, bool)]],
-) -> Result<(Vec<String>, Vec<(String, Option<String>)>), String> {
+) -> Result<(Vec<String>, Flags), String> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut it = args.iter().peekable();

@@ -75,9 +75,12 @@ fn test_fields(interner: &mut Interner) -> Vec<pata_ir::Symbol> {
     ]
 }
 
-/// Structural snapshot for rollback comparison: per-variable residence and
-/// the sorted out-edge set of every variable's node.
-fn snapshot(g: &AliasGraph) -> (Vec<Option<usize>>, Vec<Vec<(String, usize)>>) {
+/// Per-variable residence and the sorted out-edge set of every variable's
+/// node.
+type Snapshot = (Vec<Option<usize>>, Vec<Vec<(String, usize)>>);
+
+/// Structural snapshot for rollback comparison.
+fn snapshot(g: &AliasGraph) -> Snapshot {
     let residence: Vec<Option<usize>> = (0..12)
         .map(|i| g.node_of_var(VarId::from_index(i)).map(|n| n.index()))
         .collect();
@@ -229,7 +232,7 @@ fn incremental_scopes_match_batch_solving() {
             3 => CmpOp::Ne,
             _ => CmpOp::Ge,
         };
-        pata::smt::Constraint::new(op, Term::sym(a), Term::sym(b).add(Term::int(c)))
+        pata::smt::Constraint::new(op, Term::sym(a), Term::sym(b) + Term::int(c))
     };
     for case in 0..CASES {
         let prefix: Vec<_> = (0..rng.gen_range(0, 8))
@@ -303,13 +306,13 @@ fn offset_chains_consistent() {
             solver.assert_cmp(
                 CmpOp::Eq,
                 Term::sym(syms[i]),
-                Term::sym(syms[i + 1]).add(Term::int(o)),
+                Term::sym(syms[i + 1]) + Term::int(o),
             );
         }
         let total: i64 = offsets.iter().sum();
         solver.assert_cmp(
             CmpOp::Ne,
-            Term::sym(syms[0]).sub(Term::sym(*syms.last().unwrap())),
+            Term::sym(syms[0]) - Term::sym(*syms.last().unwrap()),
             Term::int(total),
         );
         assert_eq!(solver.check(), SatResult::Unsat, "case {case}: {offsets:?}");
@@ -337,6 +340,120 @@ fn parser_total_on_arbitrary_input() {
             })
             .collect();
         let _ = pata::cc::Parser::parse_source("fuzz.c", &input);
+    }
+}
+
+/// One seeded mutation of `text`: a truncation, a deleted, duplicated or
+/// overwritten byte span, or an inserted token fragment.
+fn mutate(rng: &mut Prng, text: &str) -> String {
+    const FRAGMENTS: &[&str] = &[
+        "}",
+        "{",
+        "(",
+        ")",
+        ";",
+        ",",
+        "*",
+        "&",
+        "->",
+        ".",
+        "=",
+        "[",
+        "]",
+        "goto L;",
+        "L:",
+        "break;",
+        "continue;",
+        "return;",
+        "return",
+        "int",
+        "struct",
+        "void",
+        "NULL",
+        "if",
+        "else",
+        "while",
+        "for",
+        "0x",
+        "99999999999999999999",
+        "'",
+        "\"",
+        "/*",
+        "//",
+        "\\",
+        "\0",
+        "é",
+        "#",
+        ".probe = ",
+        "malloc(",
+        "free(",
+        "&&",
+        "||",
+        "!",
+    ];
+    let mut bytes = text.as_bytes().to_vec();
+    let at = rng.gen_range(0, bytes.len() + 1);
+    match rng.gen_range(0, 5) {
+        0 => bytes.truncate(at),
+        1 => {
+            let end = (at + rng.gen_range(1, 16)).min(bytes.len());
+            bytes.drain(at..end);
+        }
+        2 => {
+            let end = (at + rng.gen_range(1, 64)).min(bytes.len());
+            let span = bytes[at..end].to_vec();
+            bytes.splice(at..at, span);
+        }
+        3 => {
+            for _ in 0..rng.gen_range(1, 4) {
+                let i = rng.gen_range(0, bytes.len().max(1));
+                if i < bytes.len() {
+                    bytes[i] = rng.gen_range(0, 256) as u8;
+                }
+            }
+        }
+        _ => {
+            let frag = rng.choose(FRAGMENTS).as_bytes();
+            bytes.splice(at..at, frag.iter().copied());
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Seeded truncations and byte mutations of generated corpus files, each
+/// compiled together with an unmutated neighbour file through the whole
+/// front end (lexer, parser, lowering), end in a module or diagnostics,
+/// never a panic.
+#[test]
+fn front_end_total_on_mutated_corpus_files() {
+    const MUTATION_CASES: u64 = 400;
+    let mut rng = Prng::seed_from_u64(0xf022_c0de);
+    let corpora: Vec<pata::corpus::Corpus> = [
+        pata::corpus::OsProfile::linux().with_scale(0.1),
+        pata::corpus::OsProfile::zephyr().with_scale(0.3),
+    ]
+    .iter()
+    .map(pata::corpus::Corpus::generate)
+    .collect();
+    for case in 0..MUTATION_CASES {
+        let corpus = rng.choose(&corpora);
+        let victim = rng.choose(&corpus.files);
+        let neighbour = rng.choose(&corpus.files);
+        let mut text = victim.text.clone();
+        for _ in 0..rng.gen_range(1, 4) {
+            text = mutate(&mut rng, &text);
+        }
+        let outcome = std::panic::catch_unwind(|| {
+            let mut cc = pata::cc::Compiler::new();
+            cc.add_source(&neighbour.path, &neighbour.text);
+            cc.add_source(&victim.path, &text);
+            let _ = cc.compile();
+        });
+        assert!(
+            outcome.is_ok(),
+            "case {case}: the front end panicked on this mutation of {}:\n{text}",
+            victim.path
+        );
     }
 }
 
