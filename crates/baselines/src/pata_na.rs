@@ -51,7 +51,7 @@ impl Analyzer for PataNaAnalyzer {
         config.alias_mode = pata_core::AliasMode::None;
         let checkers = self.registry.instantiate_for(&config.checkers);
         let outcome = AnalysisSession::new(config).analyze_module_with(module.clone(), &checkers);
-        outcome.reports
+        outcome.report.reports
     }
 }
 
@@ -88,11 +88,12 @@ mod tests {
         let pata = AnalysisSession::new(AnalysisConfig::default()).analyze_module(module.clone());
         assert!(
             !pata
+                .report
                 .reports
                 .iter()
                 .any(|r| r.kind == BugKind::NullPointerDeref),
             "PATA should drop it: {:?}",
-            pata.reports
+            pata.report.reports
         );
     }
 
@@ -118,9 +119,13 @@ mod tests {
 
         let pata = AnalysisSession::new(AnalysisConfig::default()).analyze_module(module.clone());
         assert!(
-            !pata.reports.iter().any(|r| r.kind == BugKind::MemoryLeak),
+            !pata
+                .report
+                .reports
+                .iter()
+                .any(|r| r.kind == BugKind::MemoryLeak),
             "PATA sees the free through the alias set: {:?}",
-            pata.reports
+            pata.report.reports
         );
     }
 }

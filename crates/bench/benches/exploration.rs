@@ -22,7 +22,7 @@
 
 use pata_bench::harness::time_once;
 use pata_bench::results;
-use pata_core::{AnalysisConfig, AnalysisSession, AnalysisStats, PossibleBug, Report};
+use pata_core::{AnalysisConfig, AnalysisSession, AnalysisStats, PossibleBug};
 use pata_corpus::{Corpus, OsProfile};
 
 fn config(threads: usize, cow: bool) -> AnalysisConfig {
@@ -42,9 +42,9 @@ fn explore(module: &pata_ir::Module, cow: bool) -> (Vec<PossibleBug>, AnalysisSt
 
 /// Full pipeline: the versioned report document, for bit-identity checks.
 fn full_report(module: &pata_ir::Module, threads: usize, cow: bool) -> String {
-    let outcome = AnalysisSession::new(config(threads, cow)).analyze_module(module.clone());
-    Report::new(outcome.reports)
-        .with_budget_notes(outcome.budget_notes)
+    AnalysisSession::new(config(threads, cow))
+        .analyze_module(module.clone())
+        .report
         .to_json()
 }
 

@@ -21,7 +21,7 @@ fn main() {
             ..AnalysisConfig::default()
         })
         .analyze_module(module.clone());
-        hold(out.reports.len())
+        hold(out.report.reports.len())
     });
 
     bench("pipeline/analyze_pata_na", || {
@@ -30,7 +30,7 @@ fn main() {
             ..AnalysisConfig::without_alias()
         })
         .analyze_module(module.clone());
-        hold(out.reports.len())
+        hold(out.report.reports.len())
     });
 
     bench("pipeline/analyze_no_validation", || {
@@ -40,6 +40,6 @@ fn main() {
             ..AnalysisConfig::default()
         })
         .analyze_module(module.clone());
-        hold(out.reports.len())
+        hold(out.report.reports.len())
     });
 }

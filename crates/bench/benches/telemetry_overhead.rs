@@ -30,7 +30,12 @@ fn run_pipeline(module: &pata_ir::Module, telemetry: bool) -> (Vec<String>, u64)
         .build()
         .expect("valid bench config");
     let outcome = AnalysisSession::new(config).analyze_module(module.clone());
-    let verdicts = outcome.reports.iter().map(ToString::to_string).collect();
+    let verdicts = outcome
+        .report
+        .reports
+        .iter()
+        .map(ToString::to_string)
+        .collect();
     (verdicts, outcome.stats.paths_explored)
 }
 

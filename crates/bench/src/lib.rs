@@ -23,7 +23,7 @@ pub mod harness;
 pub mod results;
 
 use pata_baselines::Analyzer;
-use pata_core::{AnalysisConfig, AnalysisOutcome, AnalysisSession, BugKind};
+use pata_core::{AnalysisConfig, AnalysisSession, BugKind, SessionOutcome};
 use pata_corpus::{Corpus, OsProfile, Score};
 use std::time::Instant;
 
@@ -32,7 +32,7 @@ pub struct ProfileRun {
     /// The generated corpus.
     pub corpus: Corpus,
     /// PATA's outcome (reports + stats).
-    pub outcome: AnalysisOutcome,
+    pub outcome: SessionOutcome,
     /// PATA's score against ground truth.
     pub score: Score,
     /// Wall-clock seconds for analysis only.
@@ -56,7 +56,7 @@ pub fn run_profile(profile: &OsProfile, config: AnalysisConfig) -> ProfileRun {
     let start = Instant::now();
     let outcome = AnalysisSession::new(config).analyze_module(module);
     let seconds = start.elapsed().as_secs_f64();
-    let score = corpus.manifest.score(&outcome.reports);
+    let score = corpus.manifest.score(&outcome.report.reports);
     ProfileRun {
         corpus,
         outcome,

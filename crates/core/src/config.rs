@@ -3,8 +3,7 @@
 //!
 //! Construct configurations through [`AnalysisConfig::builder`], which
 //! validates the result ([`AnalysisConfigBuilder::build`] rejects empty
-//! checker sets and zero budgets). The former `with_*` methods survive as
-//! deprecated shims.
+//! checker sets and zero budgets).
 
 use crate::checkers::BugKind;
 use crate::faultinject::FaultPlan;
@@ -165,20 +164,6 @@ impl AnalysisConfig {
         AnalysisConfigBuilder {
             config: AnalysisConfig::default(),
         }
-    }
-
-    /// Builder-style checker selection.
-    #[deprecated(since = "0.2.0", note = "use `AnalysisConfig::builder().checkers(..)`")]
-    pub fn with_checkers(mut self, checkers: Vec<BugKind>) -> Self {
-        self.checkers = checkers;
-        self
-    }
-
-    /// Builder-style budget override.
-    #[deprecated(since = "0.2.0", note = "use `AnalysisConfig::builder().budget(..)`")]
-    pub fn with_budget(mut self, budget: PathBudget) -> Self {
-        self.budget = budget;
-        self
     }
 }
 
@@ -460,14 +445,5 @@ mod tests {
         assert_eq!(d.root_deadline_ms, 0);
         assert_eq!(d.max_live_bytes, 0);
         assert!(d.fault_plan.is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_compile() {
-        let c = AnalysisConfig::default()
-            .with_checkers(vec![BugKind::UseAfterFree])
-            .with_budget(PathBudget::default());
-        assert_eq!(c.checkers, vec![BugKind::UseAfterFree]);
     }
 }

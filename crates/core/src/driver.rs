@@ -1,47 +1,21 @@
-//! The analysis driver tying the pipeline together (paper Fig. 10):
-//! information collection → per-root path-sensitive code analysis
-//! (parallelized across roots with a work-stealing scheduler) → bug
-//! filtering.
+//! Root scheduling for the code-analysis phase (paper Fig. 10, P2): one
+//! explorer per interface function, spread across threads by a
+//! work-stealing scheduler, each run under the fault-containment ladder.
+//! The pipeline around it (collect → explore → filter) lives in
+//! [`crate::session`].
 
-use crate::collector;
 use crate::config::AnalysisConfig;
-use crate::filter;
 use crate::path::{ExploreResult, Explorer, ForkStats};
-use crate::registry::CheckerRegistry;
-use crate::report::{BugReport, DegradedRoot, PossibleBug};
+use crate::report::{DegradedRoot, PossibleBug};
 use crate::stats::{AnalysisStats, BudgetNote};
-use crate::telemetry::{Span, Telemetry, TelemetrySink, TelemetrySnapshot};
+use crate::telemetry::{Span, Telemetry, TelemetrySink};
 use crate::typestate::Checker;
-use crate::validate::ValidationCache;
 use pata_ir::{FuncId, Module};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
-
-/// The result of a full PATA run.
-#[derive(Debug)]
-pub struct AnalysisOutcome {
-    /// Final validated bug reports.
-    pub reports: Vec<BugReport>,
-    /// The surviving candidates behind the reports.
-    pub real_bugs: Vec<PossibleBug>,
-    /// Aggregate statistics (Table 5 counters).
-    pub stats: AnalysisStats,
-    /// The analyzed module, with interface functions marked.
-    pub module: Module,
-    /// Telemetry collected during this run; empty unless
-    /// [`AnalysisConfig::telemetry`] is set. See
-    /// [`TelemetrySnapshot::to_json`] for the stable wire format.
-    pub telemetry: TelemetrySnapshot,
-    /// Per-root budget-exhaustion detail (in root order): which roots hit
-    /// which budget. Empty when no root was truncated.
-    pub budget_notes: Vec<BudgetNote>,
-    /// Roots the fault-containment ladder quarantined or demoted, sorted by
-    /// `(root, stage)`. Empty on a healthy run.
-    pub degraded: Vec<DegradedRoot>,
-}
 
 /// A root the fault-containment ladder could not complete normally: the
 /// structured record of a quarantine (panic caught) or demotion (resource
@@ -92,531 +66,287 @@ pub(crate) struct RootRun {
     pub(crate) failure: Option<RootFailure>,
 }
 
-/// The PATA analysis engine.
-///
-/// This is the internal pipeline driver. Construct analyses through
-/// [`crate::AnalysisSession`] — the one public entry point — rather than
-/// through the deprecated constructors kept here for compatibility:
-///
-/// ```
-/// use pata_core::{AnalysisConfig, AnalysisSession};
-///
-/// let module = pata_cc::compile_one("m.c", "void root(void) { }").unwrap();
-/// let session = AnalysisSession::new(AnalysisConfig::default());
-/// let outcome = session.analyze_module(module);
-/// assert_eq!(outcome.stats.roots, 1);
-/// ```
-#[derive(Debug)]
-pub struct Pata {
-    config: AnalysisConfig,
-    /// Stage-2 conjunction verdicts, shared across every `analyze` call on
-    /// this analyzer (and, being `Sync`, across threads).
-    cache: Arc<ValidationCache>,
-    /// Checker factories; [`Pata::analyze`] instantiates checkers through
-    /// it so out-of-tree checkers registered by embedders run alongside the
-    /// built-ins.
-    registry: CheckerRegistry,
-    /// Metrics registry. Cheap when `config.telemetry` is off: every
-    /// recording site branches on one relaxed atomic load.
-    telemetry: Arc<Telemetry>,
+/// Explores `roots` (any subset of the module's interface functions) and
+/// returns each root's result separately, in root order. The session
+/// pipeline passes only the *dirty* roots and splices cached results in
+/// for the rest. Aggregate exploration counters are merged into `stats`
+/// exactly as a full run would.
+pub(crate) fn explore_roots(
+    config: &AnalysisConfig,
+    telemetry: &Telemetry,
+    module: &Module,
+    checkers: &[Box<dyn Checker>],
+    roots: &[FuncId],
+    stats: &mut AnalysisStats,
+) -> Vec<RootRun> {
+    let threads = if config.threads == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        config.threads
+    };
+    let threads = threads.min(roots.len().max(1));
+    let base = stats.clone();
+    let runs = schedule_roots(config, telemetry, module, checkers, roots, stats, threads);
+    if telemetry.is_enabled() {
+        record_exploration_counters(telemetry, stats, &base);
+    }
+    runs
 }
 
-impl Pata {
-    /// Creates an engine with `config` and the built-in checker registry.
-    #[doc(hidden)]
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `AnalysisSession::new` — the session API is the one public entry point"
-    )]
-    pub fn new(config: AnalysisConfig) -> Self {
-        Self::create(config)
+/// Runs one explorer per root with the work-stealing scheduler and returns
+/// their results in root order, merging every root's counters into
+/// `stats`.
+///
+/// Roots are dealt round-robin into per-worker deques; a worker pops from
+/// its own queue's front and, when empty, steals from the back of another
+/// worker's queue. Root costs are wildly uneven (one hot root can dominate
+/// a static split), so idle workers pull the remaining work instead of
+/// waiting. The task set is static — no queue ever grows — so one full
+/// empty scan means the phase is done. A single worker runs inline on the
+/// calling thread.
+fn schedule_roots(
+    config: &AnalysisConfig,
+    telemetry: &Telemetry,
+    module: &Module,
+    checkers: &[Box<dyn Checker>],
+    roots: &[FuncId],
+    stats: &mut AnalysisStats,
+    threads: usize,
+) -> Vec<RootRun> {
+    let tel_on = telemetry.is_enabled();
+    let queues: Vec<Mutex<VecDeque<usize>>> =
+        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
+    for i in 0..roots.len() {
+        lock_ok(queues[i % threads].lock()).push_back(i);
     }
-
-    /// Creates an engine with a custom [`CheckerRegistry`].
-    #[doc(hidden)]
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `AnalysisSession::with_registry` — the session API is the one public entry point"
-    )]
-    pub fn with_registry(config: AnalysisConfig, registry: CheckerRegistry) -> Self {
-        Self::create_with_registry(config, registry)
-    }
-
-    /// Internal constructor backing [`crate::AnalysisSession`].
-    pub(crate) fn create(config: AnalysisConfig) -> Self {
-        Self::create_with_registry(config, CheckerRegistry::with_builtins())
-    }
-
-    /// Internal constructor backing [`crate::AnalysisSession::with_registry`].
-    pub(crate) fn create_with_registry(config: AnalysisConfig, registry: CheckerRegistry) -> Self {
-        let telemetry = Arc::new(Telemetry::new(config.telemetry));
-        Pata {
-            config,
-            cache: Arc::new(ValidationCache::new()),
-            registry,
-            telemetry,
-        }
-    }
-
-    /// Instantiates the configured checkers through the registry.
-    pub(crate) fn instantiate_checkers(&self) -> Vec<Box<dyn Checker>> {
-        self.registry.instantiate_for(&self.config.checkers)
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.config
-    }
-
-    /// The analyzer's shared validation cache (persists across runs).
-    pub fn validation_cache(&self) -> &Arc<ValidationCache> {
-        &self.cache
-    }
-
-    /// The analyzer's checker registry.
-    pub fn registry(&self) -> &CheckerRegistry {
-        &self.registry
-    }
-
-    /// The analyzer's telemetry registry. Metrics accumulate across
-    /// `analyze` calls; each [`AnalysisOutcome`] carries a snapshot taken
-    /// at the end of its run.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
-    }
-
-    /// Runs the full pipeline on `module`.
-    pub fn analyze(&self, module: Module) -> AnalysisOutcome {
-        let checkers = self.instantiate_checkers();
-        self.analyze_with(module, &checkers)
-    }
-
-    /// Runs the pipeline with custom checker instances (e.g. user-defined
-    /// FSMs; see `examples/custom_checker.rs`).
-    pub fn analyze_with(
-        &self,
-        mut module: Module,
-        checkers: &[Box<dyn Checker>],
-    ) -> AnalysisOutcome {
-        let start = Instant::now();
-        let tel_on = self.telemetry.is_enabled();
-
-        // P1: information collection.
-        let span = Span::start(tel_on, "stage.collect");
-        let (roots, call_graph) = collector::mark_interfaces_with_graph(&mut module);
-        if tel_on {
-            self.telemetry.record_direct(|sink| {
-                span.finish(sink);
-                sink.add("collect.roots", roots.len() as u64);
-                sink.add("collect.call_edges", call_graph.edge_count() as u64);
+    let steals = AtomicU64::new(0);
+    let collected: Mutex<Vec<RootRun>> = Mutex::new(Vec::with_capacity(roots.len()));
+    let worker = |w: usize| {
+        // Per-worker telemetry shard: lock-free while the worker runs,
+        // merged into the shared registry once at exit.
+        let mut sink = TelemetrySink::new();
+        let mut alias_ops = [0u64; 7];
+        let mut fork_total = ForkStats::default();
+        loop {
+            let mut task = lock_ok(queues[w].lock()).pop_front();
+            if task.is_none() {
+                for off in 1..threads {
+                    let victim = (w + off) % threads;
+                    task = lock_ok(queues[victim].lock()).pop_back();
+                    if task.is_some() {
+                        steals.fetch_add(1, Ordering::Relaxed);
+                        break;
+                    }
+                }
+            }
+            let Some(i) = task else { break };
+            let name = module.function(roots[i]).name();
+            let span = Span::start(tel_on, "explore.root");
+            let (result, failure) =
+                run_one_root(config, module, checkers, roots[i], &mut sink, tel_on);
+            if tel_on {
+                span.finish_labeled(&mut sink, Some(name.into()));
+                for (acc, n) in alias_ops.iter_mut().zip(result.alias_ops) {
+                    *acc += n;
+                }
+                flush_root_fork_stats(&mut sink, name, &result.fork_stats);
+                fork_total.merge(&result.fork_stats);
+            }
+            lock_ok(collected.lock()).push(RootRun {
+                index: i,
+                candidates: result.candidates,
+                stats: result.stats,
+                note: result.budget_note,
+                failure,
             });
         }
-
-        // P2: per-root path-sensitive analysis.
-        let span = Span::start(tel_on, "stage.explore");
-        let mut stats = AnalysisStats {
-            files_analyzed: module.files().len() as u64,
-            loc_analyzed: module.total_loc(),
-            ..AnalysisStats::default()
-        };
-        let (candidates, budget_notes, mut degraded) =
-            self.run_roots(&module, checkers, &roots, &mut stats);
         if tel_on {
-            self.telemetry.record_direct(|sink| span.finish(sink));
-        }
-
-        // P3: bug filtering (dedup + path validation).
-        let span = Span::start(tel_on, "stage.filter");
-        let cache = self.config.validation_cache.then(|| &*self.cache);
-        let result = filter::filter(
-            &module,
-            candidates,
-            self.config.validate_paths,
-            cache,
-            Some(&self.telemetry),
-            &mut stats,
-        );
-        if tel_on {
-            self.telemetry.record_direct(|sink| span.finish(sink));
-        }
-        degraded.extend(result.failures);
-        degraded.sort();
-        stats.time = start.elapsed();
-        AnalysisOutcome {
-            reports: result.reports,
-            real_bugs: result.real_bugs,
-            stats,
-            module,
-            telemetry: self.telemetry.snapshot(),
-            budget_notes,
-            degraded,
-        }
-    }
-
-    /// Runs phases P1 + P2 only, returning the marked module, the raw
-    /// (pre-dedup, pre-validation) candidates and the exploration stats —
-    /// the exact input [`filter::filter`] consumes. Lets benchmarks and
-    /// experiments time stage-2 validation in isolation.
-    pub fn collect_candidates(
-        &self,
-        mut module: Module,
-    ) -> (Module, Vec<PossibleBug>, AnalysisStats) {
-        let checkers = self.instantiate_checkers();
-        let roots = collector::mark_interfaces(&mut module);
-        let mut stats = AnalysisStats {
-            files_analyzed: module.files().len() as u64,
-            loc_analyzed: module.total_loc(),
-            ..AnalysisStats::default()
-        };
-        let (candidates, _notes, _degraded) =
-            self.run_roots(&module, &checkers, &roots, &mut stats);
-        (module, candidates, stats)
-    }
-
-    fn run_roots(
-        &self,
-        module: &Module,
-        checkers: &[Box<dyn Checker>],
-        roots: &[FuncId],
-        stats: &mut AnalysisStats,
-    ) -> (Vec<PossibleBug>, Vec<BudgetNote>, Vec<DegradedRoot>) {
-        let runs = self.explore_roots(module, checkers, roots, stats);
-        let mut all = Vec::new();
-        let mut notes = Vec::new();
-        let mut degraded = Vec::new();
-        for run in runs {
-            all.extend(run.candidates);
-            notes.extend(run.note);
-            degraded.extend(run.failure.as_ref().map(RootFailure::to_degraded));
-        }
-        (all, notes, degraded)
-    }
-
-    /// Explores `roots` (any subset of the module's interface functions)
-    /// and returns each root's result separately, in root order. This is
-    /// the incremental re-analysis entry point: the session layer passes
-    /// only the *dirty* roots and splices cached results in for the rest.
-    /// Aggregate exploration counters are merged into `stats` exactly as a
-    /// full run would.
-    pub(crate) fn explore_roots(
-        &self,
-        module: &Module,
-        checkers: &[Box<dyn Checker>],
-        roots: &[FuncId],
-        stats: &mut AnalysisStats,
-    ) -> Vec<RootRun> {
-        let threads = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.threads
-        };
-        let threads = threads.min(roots.len().max(1));
-        let base = stats.clone();
-        let runs = self.schedule_roots(module, checkers, roots, stats, threads);
-        if self.telemetry.is_enabled() {
-            self.record_exploration_counters(stats, &base);
-        }
-        runs
-    }
-
-    /// Runs one explorer per root (sequentially or with the work-stealing
-    /// scheduler) and returns their results in root order, merging every
-    /// root's counters into `stats`.
-    fn schedule_roots(
-        &self,
-        module: &Module,
-        checkers: &[Box<dyn Checker>],
-        roots: &[FuncId],
-        stats: &mut AnalysisStats,
-        threads: usize,
-    ) -> Vec<RootRun> {
-        let tel_on = self.telemetry.is_enabled();
-
-        if threads <= 1 || roots.len() <= 1 {
-            let mut runs = Vec::with_capacity(roots.len());
-            let mut sink = TelemetrySink::new();
-            let mut alias_ops = [0u64; 7];
-            let mut fork_total = ForkStats::default();
-            for (i, &root) in roots.iter().enumerate() {
-                let span = Span::start(tel_on, "explore.root");
-                let (result, failure) =
-                    self.run_one_root(module, checkers, root, &mut sink, tel_on);
-                if tel_on {
-                    span.finish_labeled(&mut sink, Some(module.function(root).name().into()));
-                    for (acc, n) in alias_ops.iter_mut().zip(result.alias_ops) {
-                        *acc += n;
-                    }
-                    flush_root_fork_stats(
-                        &mut sink,
-                        module.function(root).name(),
-                        &result.fork_stats,
-                    );
-                    fork_total.merge(&result.fork_stats);
-                }
-                *stats += &result.stats;
-                runs.push(RootRun {
-                    index: i,
-                    candidates: result.candidates,
-                    stats: result.stats,
-                    note: result.budget_note,
-                    failure,
-                });
+            flush_alias_ops(&mut sink, &alias_ops);
+            flush_fork_totals(&mut sink, &fork_total);
+            if !sink.is_empty() {
+                telemetry.merge(sink);
             }
-            if tel_on {
-                flush_alias_ops(&mut sink, &alias_ops);
-                flush_fork_totals(&mut sink, &fork_total);
-                sink.gauge_max("driver.threads", 1);
-                self.telemetry.merge(sink);
-            }
-            // Results are ordered by root for determinism.
-            return runs;
         }
-
-        // Root-level parallelism with work stealing: roots are dealt
-        // round-robin into per-worker deques; a worker pops from its own
-        // queue's front and, when empty, steals from the back of another
-        // worker's queue. Root costs are wildly uneven (one hot root can
-        // dominate a static split), so idle workers pull the remaining work
-        // instead of waiting. The task set is static — no queue ever grows —
-        // so one full empty scan means the phase is done.
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-        for i in 0..roots.len() {
-            lock_ok(queues[i % threads].lock()).push_back(i);
-        }
-        let steals = AtomicU64::new(0);
-        let collected: Mutex<Vec<RootRun>> = Mutex::new(Vec::new());
+    };
+    if threads <= 1 {
+        worker(0);
+    } else {
+        let worker = &worker;
         std::thread::scope(|scope| {
             for w in 0..threads {
-                let queues = &queues;
-                let collected = &collected;
-                let steals = &steals;
-                let telemetry = &self.telemetry;
-                scope.spawn(move || {
-                    // Per-worker telemetry shard: lock-free while the worker
-                    // runs, merged into the shared registry once at exit.
-                    let mut sink = TelemetrySink::new();
-                    let mut alias_ops = [0u64; 7];
-                    let mut fork_total = ForkStats::default();
-                    loop {
-                        let mut task = lock_ok(queues[w].lock()).pop_front();
-                        if task.is_none() {
-                            for off in 1..threads {
-                                let victim = (w + off) % threads;
-                                task = lock_ok(queues[victim].lock()).pop_back();
-                                if task.is_some() {
-                                    steals.fetch_add(1, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(i) = task else { break };
-                        let span = Span::start(tel_on, "explore.root");
-                        let (result, failure) =
-                            self.run_one_root(module, checkers, roots[i], &mut sink, tel_on);
-                        if tel_on {
-                            span.finish_labeled(
-                                &mut sink,
-                                Some(module.function(roots[i]).name().into()),
-                            );
-                            for (acc, n) in alias_ops.iter_mut().zip(result.alias_ops) {
-                                *acc += n;
-                            }
-                            flush_root_fork_stats(
-                                &mut sink,
-                                module.function(roots[i]).name(),
-                                &result.fork_stats,
-                            );
-                            fork_total.merge(&result.fork_stats);
-                        }
-                        lock_ok(collected.lock()).push(RootRun {
-                            index: i,
-                            candidates: result.candidates,
-                            stats: result.stats,
-                            note: result.budget_note,
-                            failure,
-                        });
-                    }
-                    if tel_on {
-                        flush_alias_ops(&mut sink, &alias_ops);
-                        flush_fork_totals(&mut sink, &fork_total);
-                        if !sink.is_empty() {
-                            telemetry.merge(sink);
-                        }
-                    }
-                });
+                scope.spawn(move || worker(w));
             }
         });
-
-        let mut per_root = collected
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Merge in root order regardless of which worker ran what — the
-        // candidate stream (and so the final report set) is identical to a
-        // single-threaded run.
-        per_root.sort_by_key(|run| run.index);
-        for run in &per_root {
-            *stats += &run.stats;
-        }
-        let stolen = steals.into_inner();
-        stats.work_steals += stolen;
-        if tel_on {
-            self.telemetry.record_direct(|sink| {
-                sink.gauge_max("driver.threads", threads as i64);
-                sink.add("driver.work_steals", stolen);
-            });
-        }
-        per_root
     }
 
-    /// Explores one root under the fault-containment ladder (DESIGN.md
-    /// "Fault containment & degraded reports"):
-    ///
-    /// 1. Full-budget attempt under `catch_unwind`. A panic — a misbehaving
-    ///    checker, an injected fault — **quarantines** the root: its partial
-    ///    results are dropped entirely (partial progress varies with the
-    ///    thread/CoW configuration; a fixed empty result keeps reports and
-    ///    stats byte-identical) and a [`RootFailure`] records the payload.
-    /// 2. A `deadline` / `live_bytes` budget trip **demotes** the root to a
-    ///    bounded re-run (path/instruction budgets clamped) whose verdicts
-    ///    are kept, flagged `"demoted"`. The
-    ///    bounded budgets make the re-run deterministic and finite even
-    ///    though the original trip was time- or memory-driven.
-    /// 3. A demoted run that panics or trips a resource budget again is
-    ///    quarantined.
-    ///
-    /// Recovery telemetry (`driver.recover.*`) lands in the caller's worker
-    /// sink; the counters are exact across thread counts for a fixed fault
-    /// plan, like every other counter.
-    fn run_one_root(
-        &self,
-        module: &Module,
-        checkers: &[Box<dyn Checker>],
-        root: FuncId,
-        sink: &mut TelemetrySink,
-        tel_on: bool,
-    ) -> (ExploreResult, Option<RootFailure>) {
-        let name = module.function(root).name();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            Explorer::new(module, &self.config, checkers, root).explore()
-        }));
-        let result = match attempt {
-            Ok(result) => result,
-            Err(payload) => {
-                if tel_on {
-                    sink.add_labeled("driver.recover.quarantined", Some("explore".into()), 1);
-                }
-                let failure = RootFailure {
-                    root: name.to_string(),
-                    stage: "explore",
-                    reason: panic_reason(payload.as_ref()),
-                    action: "quarantined",
-                };
-                return (quarantined_result(), Some(failure));
+    let mut per_root = collected
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    // Merge in root order regardless of which worker ran what — the
+    // candidate stream (and so the final report set) is identical to a
+    // single-threaded run.
+    per_root.sort_by_key(|run| run.index);
+    for run in &per_root {
+        *stats += &run.stats;
+    }
+    let stolen = steals.into_inner();
+    stats.work_steals += stolen;
+    if tel_on {
+        telemetry.record_direct(|sink| {
+            sink.gauge_max("driver.threads", threads as i64);
+            sink.add("driver.work_steals", stolen);
+        });
+    }
+    per_root
+}
+
+/// Explores one root under the fault-containment ladder (DESIGN.md
+/// "Fault containment & degraded reports"):
+///
+/// 1. Full-budget attempt under `catch_unwind`. A panic — a misbehaving
+///    checker, an injected fault — **quarantines** the root: its partial
+///    results are dropped entirely (partial progress varies with the
+///    thread/CoW configuration; a fixed empty result keeps reports and
+///    stats byte-identical) and a [`RootFailure`] records the payload.
+/// 2. A `deadline` / `live_bytes` budget trip **demotes** the root to a
+///    bounded re-run (path/instruction budgets clamped) whose verdicts
+///    are kept, flagged `"demoted"`. The
+///    bounded budgets make the re-run deterministic and finite even
+///    though the original trip was time- or memory-driven.
+/// 3. A demoted run that panics or trips a resource budget again is
+///    quarantined.
+///
+/// Recovery telemetry (`driver.recover.*`) lands in the caller's worker
+/// sink; the counters are exact across thread counts for a fixed fault
+/// plan, like every other counter.
+fn run_one_root(
+    config: &AnalysisConfig,
+    module: &Module,
+    checkers: &[Box<dyn Checker>],
+    root: FuncId,
+    sink: &mut TelemetrySink,
+    tel_on: bool,
+) -> (ExploreResult, Option<RootFailure>) {
+    let name = module.function(root).name();
+    let attempt = catch_unwind(AssertUnwindSafe(|| {
+        Explorer::new(module, config, checkers, root).explore()
+    }));
+    let result = match attempt {
+        Ok(result) => result,
+        Err(payload) => {
+            if tel_on {
+                sink.add_labeled("driver.recover.quarantined", Some("explore".into()), 1);
             }
-        };
-        let tripped = result
-            .budget_note
-            .as_ref()
-            .filter(|n| n.reason == "deadline" || n.reason == "live_bytes")
-            .map(|n| n.reason.clone());
-        let Some(reason) = tripped else {
-            return (result, None);
-        };
-        if tel_on {
-            let counter = if reason == "deadline" {
-                "driver.recover.deadline_hits"
-            } else {
-                "driver.recover.live_bytes_hits"
+            let failure = RootFailure {
+                root: name.to_string(),
+                stage: "explore",
+                reason: panic_reason(payload.as_ref()),
+                action: "quarantined",
             };
-            sink.add(counter, 1);
+            return (quarantined_result(), Some(failure));
         }
-        // Demotion: bounded re-run. Budgets are clamped so the re-run
-        // terminates quickly even for the pathological root that burned the
-        // full deadline; the deadline and ceiling stay armed so a root that
-        // cannot finish even degraded is caught again.
-        let mut demoted = self.config.clone();
-        demoted.budget.max_paths = demoted.budget.max_paths.min(DEMOTED_MAX_PATHS);
-        demoted.budget.max_insts = demoted.budget.max_insts.min(DEMOTED_MAX_INSTS);
-        let retry = Instant::now();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            Explorer::new(module, &demoted, checkers, root).explore()
-        }));
-        if tel_on {
-            sink.record_ns(
-                "driver.recover.retry_ns",
-                Some("explore".into()),
-                retry.elapsed().as_nanos() as u64,
-            );
-        }
-        match attempt {
-            Ok(result) => {
-                let retripped = result
-                    .budget_note
-                    .as_ref()
-                    .is_some_and(|n| n.reason == "deadline" || n.reason == "live_bytes");
-                if retripped {
-                    if tel_on {
-                        sink.add_labeled("driver.recover.quarantined", Some("explore".into()), 1);
-                    }
-                    let failure = RootFailure {
-                        root: name.to_string(),
-                        stage: "explore",
-                        reason,
-                        action: "quarantined",
-                    };
-                    (quarantined_result(), Some(failure))
-                } else {
-                    if tel_on {
-                        sink.add("driver.recover.demoted", 1);
-                    }
-                    let failure = RootFailure {
-                        root: name.to_string(),
-                        stage: "explore",
-                        reason,
-                        action: "demoted",
-                    };
-                    (result, Some(failure))
-                }
-            }
-            Err(payload) => {
+    };
+    let tripped = result
+        .budget_note
+        .as_ref()
+        .filter(|n| n.reason == "deadline" || n.reason == "live_bytes")
+        .map(|n| n.reason.clone());
+    let Some(reason) = tripped else {
+        return (result, None);
+    };
+    if tel_on {
+        let counter = if reason == "deadline" {
+            "driver.recover.deadline_hits"
+        } else {
+            "driver.recover.live_bytes_hits"
+        };
+        sink.add(counter, 1);
+    }
+    // Demotion: bounded re-run. Budgets are clamped so the re-run
+    // terminates quickly even for the pathological root that burned the
+    // full deadline; the deadline and ceiling stay armed so a root that
+    // cannot finish even degraded is caught again.
+    let mut demoted = config.clone();
+    demoted.budget.max_paths = demoted.budget.max_paths.min(DEMOTED_MAX_PATHS);
+    demoted.budget.max_insts = demoted.budget.max_insts.min(DEMOTED_MAX_INSTS);
+    let retry = Instant::now();
+    let attempt = catch_unwind(AssertUnwindSafe(|| {
+        Explorer::new(module, &demoted, checkers, root).explore()
+    }));
+    if tel_on {
+        sink.record_ns(
+            "driver.recover.retry_ns",
+            Some("explore".into()),
+            retry.elapsed().as_nanos() as u64,
+        );
+    }
+    match attempt {
+        Ok(result) => {
+            let retripped = result
+                .budget_note
+                .as_ref()
+                .is_some_and(|n| n.reason == "deadline" || n.reason == "live_bytes");
+            if retripped {
                 if tel_on {
                     sink.add_labeled("driver.recover.quarantined", Some("explore".into()), 1);
                 }
                 let failure = RootFailure {
                     root: name.to_string(),
                     stage: "explore",
-                    reason: panic_reason(payload.as_ref()),
+                    reason,
                     action: "quarantined",
                 };
                 (quarantined_result(), Some(failure))
+            } else {
+                if tel_on {
+                    sink.add("driver.recover.demoted", 1);
+                }
+                let failure = RootFailure {
+                    root: name.to_string(),
+                    stage: "explore",
+                    reason,
+                    action: "demoted",
+                };
+                (result, Some(failure))
             }
         }
+        Err(payload) => {
+            if tel_on {
+                sink.add_labeled("driver.recover.quarantined", Some("explore".into()), 1);
+            }
+            let failure = RootFailure {
+                root: name.to_string(),
+                stage: "explore",
+                reason: panic_reason(payload.as_ref()),
+                action: "quarantined",
+            };
+            (quarantined_result(), Some(failure))
+        }
     }
+}
 
-    /// Records the exploration-volume counters derived from the merged
-    /// per-root statistics — once per run, as the delta against the stats
-    /// at `run_roots` entry, so they stay exact for any thread count.
-    fn record_exploration_counters(&self, stats: &AnalysisStats, base: &AnalysisStats) {
-        self.telemetry.record_direct(|sink| {
-            sink.add("path.paths", stats.paths_explored - base.paths_explored);
-            sink.add("path.insts", stats.insts_processed - base.insts_processed);
-            sink.add(
-                "path.budget_exhausted",
-                stats.budget_exhausted_roots - base.budget_exhausted_roots,
-            );
-            sink.add(
-                "typestate.transitions",
-                stats.typestates_aware - base.typestates_aware,
-            );
-            sink.add(
-                "constraints.emitted",
-                stats.constraints_aware - base.constraints_aware,
-            );
-        });
-    }
+/// Records the exploration-volume counters derived from the merged
+/// per-root statistics — once per run, as the delta against the stats at
+/// `explore_roots` entry, so they stay exact for any thread count.
+fn record_exploration_counters(telemetry: &Telemetry, stats: &AnalysisStats, base: &AnalysisStats) {
+    telemetry.record_direct(|sink| {
+        sink.add("path.paths", stats.paths_explored - base.paths_explored);
+        sink.add("path.insts", stats.insts_processed - base.insts_processed);
+        sink.add(
+            "path.budget_exhausted",
+            stats.budget_exhausted_roots - base.budget_exhausted_roots,
+        );
+        sink.add(
+            "typestate.transitions",
+            stats.typestates_aware - base.typestates_aware,
+        );
+        sink.add(
+            "constraints.emitted",
+            stats.constraints_aware - base.constraints_aware,
+        );
+    });
 }
 
 /// Demoted-run clamp on completed paths per root.
@@ -707,29 +437,30 @@ fn flush_fork_totals(sink: &mut TelemetrySink, fs: &ForkStats) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::checkers::BugKind;
+    use crate::config::AnalysisConfig;
+    use crate::session::{AnalysisSession, SessionOutcome};
 
-    fn analyze(src: &str) -> AnalysisOutcome {
+    fn analyze(src: &str) -> SessionOutcome {
         let module = pata_cc::compile_one("t.c", src).unwrap();
-        Pata::create(AnalysisConfig {
+        AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         })
-        .analyze(module)
+        .analyze_module(module)
     }
 
-    fn analyze_all(src: &str) -> AnalysisOutcome {
+    fn analyze_all(src: &str) -> SessionOutcome {
         let module = pata_cc::compile_one("t.c", src).unwrap();
         let cfg = AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::all_checkers()
         };
-        Pata::create(cfg).analyze(module)
+        AnalysisSession::new(cfg).analyze_module(module)
     }
 
-    fn kinds(outcome: &AnalysisOutcome) -> Vec<BugKind> {
-        outcome.reports.iter().map(|r| r.kind).collect()
+    fn kinds(outcome: &SessionOutcome) -> Vec<BugKind> {
+        outcome.report.reports.iter().map(|r| r.kind).collect()
     }
 
     // ----------------------------------------------------------------
@@ -750,7 +481,7 @@ mod tests {
         assert!(
             kinds(&out).contains(&BugKind::NullPointerDeref),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -768,7 +499,7 @@ mod tests {
         assert!(
             !kinds(&out).contains(&BugKind::NullPointerDeref),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -797,6 +528,7 @@ mod tests {
             "#,
         );
         let npd: Vec<_> = out
+            .report
             .reports
             .iter()
             .filter(|r| r.kind == BugKind::NullPointerDeref)
@@ -804,7 +536,7 @@ mod tests {
         assert!(
             !npd.is_empty(),
             "expected the Fig. 3 NPD, got {:?}",
-            out.reports
+            out.report.reports
         );
         assert!(npd.iter().any(|r| r.function == "send_status"));
     }
@@ -831,7 +563,7 @@ mod tests {
         assert!(
             !kinds(&out).contains(&BugKind::NullPointerDeref),
             "alias-aware validation must drop the Fig. 9 false bug: {:?}",
-            out.reports
+            out.report.reports
         );
         assert!(out.stats.false_bugs_dropped >= 1, "{:?}", out.stats);
     }
@@ -854,7 +586,7 @@ mod tests {
         assert!(
             kinds(&out).contains(&BugKind::UninitVarAccess),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -879,7 +611,7 @@ mod tests {
         assert!(
             !kinds(&out).contains(&BugKind::UninitVarAccess),
             "out-parameter init must be seen through the alias graph: {:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -900,7 +632,7 @@ mod tests {
         assert!(
             kinds(&out).contains(&BugKind::UninitVarAccess),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -920,7 +652,7 @@ mod tests {
         assert!(
             !kinds(&out).contains(&BugKind::UninitVarAccess),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -944,11 +676,12 @@ mod tests {
             "#,
         );
         let ml: Vec<_> = out
+            .report
             .reports
             .iter()
             .filter(|r| r.kind == BugKind::MemoryLeak)
             .collect();
-        assert_eq!(ml.len(), 1, "{:?}", out.reports);
+        assert_eq!(ml.len(), 1, "{:?}", out.report.reports);
     }
 
     #[test]
@@ -964,7 +697,7 @@ mod tests {
         assert!(
             !kinds(&out).contains(&BugKind::MemoryLeak),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -982,7 +715,7 @@ mod tests {
         assert!(
             !kinds(&out).contains(&BugKind::MemoryLeak),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -1000,7 +733,7 @@ mod tests {
         assert!(
             kinds(&out).contains(&BugKind::MemoryLeak),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -1018,7 +751,7 @@ mod tests {
         assert!(
             !kinds(&out).contains(&BugKind::MemoryLeak),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -1043,7 +776,7 @@ mod tests {
         assert!(
             kinds(&out).contains(&BugKind::DoubleLock),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -1063,7 +796,7 @@ mod tests {
         assert!(
             !kinds(&out).contains(&BugKind::DoubleLock),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -1080,11 +813,12 @@ mod tests {
             "#,
         );
         let dbz: Vec<_> = out
+            .report
             .reports
             .iter()
             .filter(|r| r.kind == BugKind::DivisionByZero)
             .collect();
-        assert_eq!(dbz.len(), 1, "{:?}", out.reports);
+        assert_eq!(dbz.len(), 1, "{:?}", out.report.reports);
     }
 
     #[test]
@@ -1104,7 +838,7 @@ mod tests {
         assert!(
             kinds(&out).contains(&BugKind::ArrayIndexUnderflow),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -1137,23 +871,26 @@ mod tests {
             }
         "#;
         let module = pata_cc::compile_one("t.c", src).unwrap();
-        let na = Pata::create(AnalysisConfig {
+        let na = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::without_alias()
         })
-        .analyze(module);
+        .analyze_module(module);
         let na_kinds = kinds(&na);
         // The direct bug (check + deref of the same variable) survives…
         assert!(
             na_kinds.contains(&BugKind::NullPointerDeref),
             "{:?}",
-            na.reports
+            na.report.reports
         );
         // …but the cross-function alias bug is missed.
         assert!(
-            !na.reports.iter().any(|r| r.function == "send_status"),
+            !na.report
+                .reports
+                .iter()
+                .any(|r| r.function == "send_status"),
             "PATA-NA must miss the alias bug: {:?}",
-            na.reports
+            na.report.reports
         );
     }
 
@@ -1170,11 +907,11 @@ mod tests {
             }
         "#;
         let module = pata_cc::compile_one("t.c", src).unwrap();
-        let out = Pata::create(AnalysisConfig {
+        let out = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         })
-        .analyze(module);
+        .analyze_module(module);
         assert!(out.stats.typestates_unaware > out.stats.typestates_aware);
         assert!(out.stats.constraints_unaware > out.stats.constraints_aware);
     }
@@ -1232,7 +969,7 @@ mod tests {
         assert!(
             kinds(&out).contains(&BugKind::UseAfterFree),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -1251,7 +988,7 @@ mod tests {
         assert!(
             kinds(&out).contains(&BugKind::UseAfterFree),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -1273,7 +1010,7 @@ mod tests {
         assert!(
             !kinds(&out).contains(&BugKind::UseAfterFree),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -1300,37 +1037,39 @@ mod tests {
         // and thus it cannot find bugs whose bug-trigger paths pass through
         // indirect function calls" (§7).
         let module = pata_cc::compile_one("t.c", CALLBACK_SRC).unwrap();
-        let out = Pata::create(AnalysisConfig {
+        let out = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         })
-        .analyze(module);
+        .analyze_module(module);
         assert!(
-            !out.reports
+            !out.report
+                .reports
                 .iter()
                 .any(|r| r.kind == BugKind::NullPointerDeref),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
     #[test]
     fn indirect_call_resolved_with_extension() {
         let module = pata_cc::compile_one("t.c", CALLBACK_SRC).unwrap();
-        let out = Pata::create(AnalysisConfig {
+        let out = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             resolve_fptrs: true,
             ..AnalysisConfig::default()
         })
-        .analyze(module);
+        .analyze_module(module);
         let hit = out
+            .report
             .reports
             .iter()
             .any(|r| r.kind == BugKind::NullPointerDeref && r.function == "cb");
         assert!(
             hit,
             "the callback bug needs the caller's null state: {:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -1347,16 +1086,16 @@ mod tests {
             }
         "#;
         let module = pata_cc::compile_one("t.c", src).unwrap();
-        let out = Pata::create(AnalysisConfig {
+        let out = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             resolve_fptrs: true,
             ..AnalysisConfig::default()
         })
-        .analyze(module);
+        .analyze_module(module);
         assert!(
-            out.reports.iter().any(|r| r.function == "deref_cb"),
+            out.report.reports.iter().any(|r| r.function == "deref_cb"),
             "{:?}",
-            out.reports
+            out.report.reports
         );
     }
 
@@ -1383,18 +1122,19 @@ mod tests {
         "#;
         let one = {
             let module = pata_cc::compile_one("t.c", src).unwrap();
-            Pata::create(AnalysisConfig {
+            AnalysisSession::new(AnalysisConfig {
                 threads: 1,
                 ..AnalysisConfig::default()
             })
-            .analyze(module)
+            .analyze_module(module)
         };
         assert!(
-            !one.reports
+            !one.report
+                .reports
                 .iter()
                 .any(|r| r.kind == BugKind::NullPointerDeref),
             "1-iteration unrolling cannot reach i == 1: {:?}",
-            one.reports
+            one.report.reports
         );
         let two = {
             let module = pata_cc::compile_one("t.c", src).unwrap();
@@ -1403,14 +1143,15 @@ mod tests {
                 ..AnalysisConfig::default()
             };
             cfg.budget.loop_iterations = 2;
-            Pata::create(cfg).analyze(module)
+            AnalysisSession::new(cfg).analyze_module(module)
         };
         assert!(
-            two.reports
+            two.report
+                .reports
                 .iter()
                 .any(|r| r.kind == BugKind::NullPointerDeref),
             "2-iteration unrolling reaches the assignment: {:?}",
-            two.reports
+            two.report.reports
         );
     }
 
@@ -1437,8 +1178,9 @@ mod tests {
                 return *d->res;
             }
         "#;
-        let render = |out: &AnalysisOutcome| {
+        let render = |out: &SessionOutcome| {
             let mut lines: Vec<String> = out
+                .report
                 .reports
                 .iter()
                 .map(|r| {
@@ -1451,17 +1193,17 @@ mod tests {
             lines.sort();
             lines
         };
-        let seq = Pata::create(AnalysisConfig {
+        let seq = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         })
-        .analyze(pata_cc::compile_one("t.c", src).unwrap());
+        .analyze_module(pata_cc::compile_one("t.c", src).unwrap());
         for threads in [0, 2, 3] {
-            let par = Pata::create(AnalysisConfig {
+            let par = AnalysisSession::new(AnalysisConfig {
                 threads,
                 ..AnalysisConfig::default()
             })
-            .analyze(pata_cc::compile_one("t.c", src).unwrap());
+            .analyze_module(pata_cc::compile_one("t.c", src).unwrap());
             assert_eq!(render(&seq), render(&par), "threads={threads}");
             assert_eq!(seq.stats.paths_explored, par.stats.paths_explored);
             assert_eq!(seq.stats.false_bugs_dropped, par.stats.false_bugs_dropped);
@@ -1470,21 +1212,21 @@ mod tests {
 
     #[test]
     fn validation_cache_persists_across_runs() {
-        let pata = Pata::create(AnalysisConfig {
+        let pata = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         });
         let src = "int f(int *p) { if (p == NULL) { } return *p; }";
-        let first = pata.analyze(pata_cc::compile_one("t.c", src).unwrap());
+        let first = pata.analyze_module(pata_cc::compile_one("t.c", src).unwrap());
         assert!(first.stats.validation_cache_misses > 0, "{:?}", first.stats);
-        let second = pata.analyze(pata_cc::compile_one("t.c", src).unwrap());
+        let second = pata.analyze_module(pata_cc::compile_one("t.c", src).unwrap());
         assert_eq!(
             second.stats.validation_cache_misses, 0,
             "the second identical run must be fully cached: {:?}",
             second.stats
         );
         assert!(second.stats.validation_cache_hits > 0);
-        assert_eq!(first.reports.len(), second.reports.len());
+        assert_eq!(first.report.reports.len(), second.report.reports.len());
     }
 
     #[test]
@@ -1497,17 +1239,17 @@ mod tests {
         "#;
         let m1 = pata_cc::compile_one("t.c", src).unwrap();
         let m2 = pata_cc::compile_one("t.c", src).unwrap();
-        let seq = Pata::create(AnalysisConfig {
+        let seq = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         })
-        .analyze(m1);
-        let par = Pata::create(AnalysisConfig {
+        .analyze_module(m1);
+        let par = AnalysisSession::new(AnalysisConfig {
             threads: 4,
             ..AnalysisConfig::default()
         })
-        .analyze(m2);
-        assert_eq!(seq.reports.len(), par.reports.len());
+        .analyze_module(m2);
+        assert_eq!(seq.report.reports.len(), par.report.reports.len());
         assert_eq!(seq.stats.paths_explored, par.stats.paths_explored);
     }
 }

@@ -21,10 +21,12 @@
 //! The pipeline mirrors the paper's three phases (§4): the information
 //! collector ([`collector`]) finds *module interface functions* (functions
 //! with no explicit caller — e.g. driver `probe` callbacks registered via
-//! function-pointer fields, Fig. 1); the code analyzer ([`path`], driven by
-//! [`driver::Pata`]) explores paths from those roots while tracking alias
-//! graphs and typestates; the bug filter ([`filter`]) deduplicates repeated
-//! bugs and validates path feasibility.
+//! function-pointer fields, Fig. 1); the code analyzer ([`path`]) explores
+//! paths from those roots while tracking alias graphs and typestates; the
+//! bug filter ([`filter`]) deduplicates repeated bugs and validates path
+//! feasibility. One pipeline in [`session`] runs the three phases for every
+//! entry point, scheduling roots across threads with a work-stealing
+//! scheduler.
 //!
 //! Everything is reachable through one entry point: build an
 //! [`AnalysisConfig`], open an [`AnalysisSession`] (optionally backed by an
@@ -68,7 +70,7 @@ pub mod alias;
 pub mod checkers;
 pub mod collector;
 pub mod config;
-pub mod driver;
+pub(crate) mod driver;
 pub mod faultinject;
 pub mod filter;
 pub(crate) mod fingerprint;
@@ -86,7 +88,6 @@ pub mod validate;
 
 pub use checkers::BugKind;
 pub use config::{AliasMode, AnalysisConfig, AnalysisConfigBuilder, ConfigError, PathBudget};
-pub use driver::{AnalysisOutcome, Pata};
 pub use faultinject::{FaultAction, FaultPlan, FaultPlanError};
 pub use persist::STORE_SCHEMA_VERSION;
 pub use registry::{BuiltinChecker, CheckerFactory, CheckerRegistry, RegistryError};

@@ -1,7 +1,7 @@
 //! The analysis session — the one public entry point of the crate.
 //!
-//! [`AnalysisSession`] wraps the internal pipeline driver with the pieces
-//! a long-lived analysis service needs: source compilation, an optional
+//! [`AnalysisSession`] runs the analysis pipeline and adds the pieces a
+//! long-lived analysis service needs: source compilation, an optional
 //! on-disk store ([`crate::persist`]), fingerprint-based change detection,
 //! and incremental re-analysis that re-explores only *dirty* roots.
 //!
@@ -10,6 +10,17 @@
 //!     → AnalysisSession::open(config, store_path)   // or ::new for in-memory
 //!     → session.analyze(&request)                   // → versioned Report
 //! ```
+//!
+//! # One pipeline
+//!
+//! Every entry point runs the same private body (paper Fig. 10): P1
+//! collects the interface roots, P2 explores the dirty ones (the `driver`
+//! module schedules them), their results and the clean roots' cached ones
+//! are spliced in root order, and P3 filters the merged
+//! candidate stream into a [`Report`]. [`AnalysisSession::analyze`] plans
+//! each root clean or dirty from change detection;
+//! [`AnalysisSession::analyze_module`] marks every root dirty and skips
+//! fingerprinting — a stateless run is a session with no warm state.
 //!
 //! # Determinism
 //!
@@ -23,21 +34,21 @@
 //! validation consumes the same candidate stream either way, and its
 //! cache is keyed canonically (verdict-neutral by construction).
 
-use crate::collector;
+use crate::collector::{self, CallGraph};
 use crate::config::AnalysisConfig;
-use crate::driver::{Pata, RootRun};
+use crate::driver::{self, RootFailure};
 use crate::faultinject;
 use crate::filter;
 use crate::persist::{
     closure_fps, config_fingerprint, fnv64, FunctionDb, Store, StoredBug, StoredRoot,
 };
 use crate::registry::CheckerRegistry;
-use crate::report::{DegradedRoot, PossibleBug, Report};
-use crate::stats::{AnalysisStats, BudgetNote};
+use crate::report::{PossibleBug, Report};
+use crate::stats::AnalysisStats;
 use crate::telemetry::{Span, Telemetry, TelemetrySnapshot};
 use crate::typestate::Checker;
 use crate::validate::ValidationCache;
-use pata_ir::Module;
+use pata_ir::{FuncId, Module};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -77,7 +88,9 @@ impl AnalysisRequest {
 }
 
 /// What incremental re-analysis did for one [`AnalysisSession::analyze`]
-/// call — the counters behind the `driver.serve.*` telemetry family.
+/// call — the counters behind the `driver.serve.*` telemetry family. A
+/// stateless [`AnalysisSession::analyze_module`] run reports every root
+/// dirty, every function changed and no warm start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
     /// Total analysis roots in the request.
@@ -128,7 +141,8 @@ impl std::error::Error for SessionError {}
 #[derive(Debug)]
 pub struct SessionOutcome {
     /// The versioned report document (schema
-    /// [`crate::report::REPORT_SCHEMA_VERSION`]), budget notes attached.
+    /// [`crate::report::REPORT_SCHEMA_VERSION`]), budget notes and
+    /// degraded roots attached.
     pub report: Report,
     /// Aggregate statistics, cached roots included (their counters replay
     /// from the store; their wall-clock does not).
@@ -184,7 +198,18 @@ struct WarmState {
 /// ```
 #[derive(Debug)]
 pub struct AnalysisSession {
-    driver: Pata,
+    config: AnalysisConfig,
+    /// Checker factories; every run instantiates its checkers through it,
+    /// so out-of-tree checkers registered by embedders run alongside the
+    /// built-ins.
+    registry: CheckerRegistry,
+    /// Metrics registry (accumulates across calls). Cheap when
+    /// `config.telemetry` is off: every recording site branches on one
+    /// relaxed atomic load.
+    telemetry: Arc<Telemetry>,
+    /// Stage-2 conjunction verdicts, shared across every call on this
+    /// session (and, being `Sync`, across threads).
+    cache: Arc<ValidationCache>,
     config_fp: u64,
     store_path: Option<PathBuf>,
     warm: Option<WarmState>,
@@ -193,6 +218,17 @@ pub struct AnalysisSession {
     /// request skip the redundant store rewrite.
     store_synced: bool,
     synced_validation_len: usize,
+}
+
+/// What the pipeline does with one root, decided between collection and
+/// exploration.
+enum RootPlan<'w> {
+    /// Answer from warm state: the stored record and its candidates
+    /// resolved against the new module.
+    Clean(&'w StoredRoot, Vec<PossibleBug>),
+    /// Re-explore. `Some(closure_fp)` keeps the result as warm state under
+    /// that closure fingerprint; `None` keeps nothing.
+    Dirty(Option<u64>),
 }
 
 impl AnalysisSession {
@@ -204,10 +240,12 @@ impl AnalysisSession {
     /// An in-memory session with a custom [`CheckerRegistry`] (out-of-tree
     /// checkers run alongside the built-ins; see `examples/`).
     pub fn with_registry(config: AnalysisConfig, registry: CheckerRegistry) -> Self {
-        let config_fp = config_fingerprint(&config);
         AnalysisSession {
-            driver: Pata::create_with_registry(config, registry),
-            config_fp,
+            config_fp: config_fingerprint(&config),
+            telemetry: Arc::new(Telemetry::new(config.telemetry)),
+            cache: Arc::new(ValidationCache::new()),
+            config,
+            registry,
             store_path: None,
             warm: None,
             store_synced: false,
@@ -234,17 +272,17 @@ impl AnalysisSession {
         let path = path.as_ref().to_path_buf();
         let t0 = Instant::now();
         if let Some(store) = Store::load(&path, session.config_fp) {
-            session.driver.validation_cache().import(store.validation);
+            session.cache.import(store.validation);
             session.warm = Some(WarmState {
                 functions: store.functions,
                 file_hashes: store.files,
                 roots: store.roots,
             });
             session.store_synced = true;
-            session.synced_validation_len = session.driver.validation_cache().len();
+            session.synced_validation_len = session.cache.len();
         }
         let load_ns = t0.elapsed().as_nanos() as u64;
-        session.driver.telemetry().record_direct(|sink| {
+        session.telemetry.record_direct(|sink| {
             sink.record_ns("driver.serve.store_load", None, load_ns);
             sink.add(
                 "driver.serve.store_loaded",
@@ -257,30 +295,31 @@ impl AnalysisSession {
 
     /// The active configuration.
     pub fn config(&self) -> &AnalysisConfig {
-        self.driver.config()
+        &self.config
     }
 
     /// The session's telemetry registry (metrics accumulate across calls).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        self.driver.telemetry()
+        &self.telemetry
     }
 
     /// The session's shared stage-2 validation cache.
     pub fn validation_cache(&self) -> &Arc<ValidationCache> {
-        self.driver.validation_cache()
+        &self.cache
     }
 
     /// The session's checker registry.
     pub fn registry(&self) -> &CheckerRegistry {
-        self.driver.registry()
+        &self.registry
     }
 
-    /// Runs the full pipeline on an already-compiled module, without
-    /// touching the warm state or the store. The in-memory equivalent of
-    /// the retired `Pata::new(config).analyze(module)` pattern; stage-2
-    /// verdicts still share the session's validation cache across calls.
-    pub fn analyze_module(&self, module: Module) -> crate::driver::AnalysisOutcome {
-        self.driver.analyze(module)
+    /// Runs the full pipeline on an already-compiled module as a stateless
+    /// request: every root is explored, nothing is fingerprinted, and the
+    /// warm state and the store are left alone. Stage-2 verdicts still
+    /// share the session's validation cache across calls.
+    pub fn analyze_module(&self, module: Module) -> SessionOutcome {
+        let checkers = self.registry.instantiate_for(&self.config.checkers);
+        self.analyze_module_with(module, &checkers)
     }
 
     /// [`AnalysisSession::analyze_module`] with explicit checker instances
@@ -289,14 +328,50 @@ impl AnalysisSession {
         &self,
         module: Module,
         checkers: &[Box<dyn Checker>],
-    ) -> crate::driver::AnalysisOutcome {
-        self.driver.analyze_with(module, checkers)
+    ) -> SessionOutcome {
+        let (mut outcome, _) =
+            self.run_pipeline(module, checkers, Instant::now(), |module, roots, _| {
+                let n = roots.len() as u64;
+                let incremental = IncrementalStats {
+                    roots: n,
+                    dirty_roots: n,
+                    changed_functions: module.functions().len() as u64,
+                    ..IncrementalStats::default()
+                };
+                (
+                    roots.iter().map(|_| RootPlan::Dirty(None)).collect(),
+                    incremental,
+                )
+            });
+        outcome.telemetry = self.telemetry.snapshot();
+        outcome
     }
 
-    /// Runs phases P1 + P2 only (see [`Pata::collect_candidates`]); used
-    /// by benchmarks that time stage-2 validation in isolation.
-    pub fn collect_candidates(&self, module: Module) -> (Module, Vec<PossibleBug>, AnalysisStats) {
-        self.driver.collect_candidates(module)
+    /// Runs phases P1 + P2 only, returning the marked module, the raw
+    /// (pre-dedup, pre-validation) candidates and the exploration stats —
+    /// the exact input [`filter::filter`] consumes. Lets benchmarks and
+    /// experiments time stage-2 validation in isolation.
+    pub fn collect_candidates(
+        &self,
+        mut module: Module,
+    ) -> (Module, Vec<PossibleBug>, AnalysisStats) {
+        let checkers = self.registry.instantiate_for(&self.config.checkers);
+        let roots = collector::mark_interfaces(&mut module);
+        let mut stats = AnalysisStats {
+            files_analyzed: module.files().len() as u64,
+            loc_analyzed: module.total_loc(),
+            ..AnalysisStats::default()
+        };
+        let runs = driver::explore_roots(
+            &self.config,
+            &self.telemetry,
+            &module,
+            &checkers,
+            &roots,
+            &mut stats,
+        );
+        let candidates = runs.into_iter().flat_map(|run| run.candidates).collect();
+        (module, candidates, stats)
     }
 
     /// Compiles and analyzes `request`, re-exploring only roots whose
@@ -316,9 +391,8 @@ impl AnalysisSession {
             SessionError::Compile(diags.iter().map(ToString::to_string).collect())
         })?;
         let compile_ns = start.elapsed().as_nanos() as u64;
-        let telemetry = Arc::clone(self.driver.telemetry());
-        if telemetry.is_enabled() {
-            telemetry
+        if self.telemetry.is_enabled() {
+            self.telemetry
                 .record_direct(|sink| sink.record_ns("driver.serve.compile", None, compile_ns));
         }
         let file_hashes: Vec<(String, u64)> = request
@@ -327,7 +401,7 @@ impl AnalysisSession {
             .map(|f| (f.name.clone(), fnv64(f.text.as_bytes())))
             .collect();
         // The last containment boundary: per-root faults are absorbed by
-        // the quarantine/demotion ladder below, but a panic outside those
+        // the quarantine/demotion ladder, but a panic outside those
         // scopes (collection, fingerprinting, splicing, store writing)
         // must not take down a long-lived session — or the serve worker
         // wrapping it. Warm state may be half-updated at the panic point,
@@ -338,9 +412,7 @@ impl AnalysisSession {
             Ok(outcome) => Ok(outcome),
             Err(payload) => {
                 self.reset_warm();
-                Err(SessionError::Internal(crate::driver::panic_reason(
-                    &*payload,
-                )))
+                Err(SessionError::Internal(driver::panic_reason(&*payload)))
             }
         }
     }
@@ -359,210 +431,21 @@ impl AnalysisSession {
     /// the compiler's `FileId` order).
     fn analyze_compiled(
         &mut self,
-        mut module: Module,
+        module: Module,
         start: Instant,
         file_hashes: Vec<(String, u64)>,
     ) -> SessionOutcome {
-        let telemetry = Arc::clone(self.driver.telemetry());
-        let tel_on = telemetry.is_enabled();
-        let checkers = self.driver.instantiate_checkers();
-        let config = self.driver.config().clone();
-        faultinject::maybe_panic(config.fault_plan.as_deref(), "session.analyze", "");
-
-        // P1: information collection.
-        let span = Span::start(tel_on, "stage.collect");
-        let (roots, call_graph) = collector::mark_interfaces_with_graph(&mut module);
-        if tel_on {
-            telemetry.record_direct(|sink| {
-                span.finish(sink);
-                sink.add("collect.roots", roots.len() as u64);
-                sink.add("collect.call_edges", call_graph.edge_count() as u64);
+        faultinject::maybe_panic(self.config.fault_plan.as_deref(), "session.analyze", "");
+        let checkers = self.registry.instantiate_for(&self.config.checkers);
+        let mut db = None;
+        let (mut outcome, new_roots) =
+            self.run_pipeline(module, &checkers, start, |module, roots, call_graph| {
+                let (plans, incremental, functions) =
+                    self.plan_roots(module, roots, call_graph, &file_hashes);
+                db = functions;
+                (plans, incremental)
             });
-        }
-
-        // Change detection. `db` is `None` when function names are
-        // ambiguous — then nothing can be cached and every root is dirty.
-        // Fingerprint prefix reuse: a function's printed IR depends only
-        // on its own source file and the files lowered before it
-        // (module-global variable numbering), and `FileId`s are assigned
-        // in request order — so when the first `unchanged_prefix` files
-        // are byte-identical to the previous run, functions in those
-        // files keep their fingerprints without re-printing their IR.
-        let fp_start = Instant::now();
-        let unchanged_prefix = self.warm.as_ref().map_or(0, |w| {
-            w.file_hashes
-                .iter()
-                .zip(&file_hashes)
-                .take_while(|(a, b)| a == b)
-                .count()
-        });
-        let db = FunctionDb::build_with_reuse(
-            &module,
-            self.warm.as_ref().map(|w| &w.functions),
-            unchanged_prefix,
-        );
-        let closures: Vec<u64> = match &db {
-            Some(db) => {
-                let fps = closure_fps(&module, &call_graph, config.resolve_fptrs, db);
-                roots.iter().map(|r| fps[r.index()]).collect()
-            }
-            None => vec![0; roots.len()],
-        };
-        let warm_start = self.warm.is_some();
-        let changed_functions = match (&db, &self.warm) {
-            (Some(db), Some(warm)) => db.changed_since(&warm.functions),
-            (Some(db), None) => db.entries.len() as u64,
-            (None, _) => module.functions().len() as u64,
-        };
-
-        // Classify each root: clean roots resolve their cached candidates
-        // against the new module up front — a resolution failure demotes
-        // the root to dirty (never to a wrong answer).
-        let warm_by_name: HashMap<&str, &StoredRoot> = self
-            .warm
-            .as_ref()
-            .map(|w| w.roots.iter().map(|r| (r.root.as_str(), r)).collect())
-            .unwrap_or_default();
-        enum Plan<'a> {
-            Clean(&'a StoredRoot, Vec<PossibleBug>),
-            Dirty,
-        }
-        let plans: Vec<Plan> = roots
-            .iter()
-            .zip(&closures)
-            .map(|(&root, &closure_fp)| {
-                if db.is_none() {
-                    return Plan::Dirty;
-                }
-                let name = module.function(root).name();
-                let Some(&stored) = warm_by_name.get(name) else {
-                    return Plan::Dirty;
-                };
-                if stored.closure_fp != closure_fp {
-                    return Plan::Dirty;
-                }
-                let resolved: Option<Vec<PossibleBug>> = stored
-                    .candidates
-                    .iter()
-                    .map(|b| b.resolve(&module, root))
-                    .collect();
-                match resolved {
-                    Some(candidates) => Plan::Clean(stored, candidates),
-                    None => Plan::Dirty,
-                }
-            })
-            .collect();
-        let dirty_ids: Vec<pata_ir::FuncId> = roots
-            .iter()
-            .zip(&plans)
-            .filter(|(_, p)| matches!(p, Plan::Dirty))
-            .map(|(&r, _)| r)
-            .collect();
-        let incremental = IncrementalStats {
-            roots: roots.len() as u64,
-            dirty_roots: dirty_ids.len() as u64,
-            clean_roots: (roots.len() - dirty_ids.len()) as u64,
-            changed_functions,
-            warm_start,
-        };
-        let fingerprint_ns = fp_start.elapsed().as_nanos() as u64;
-        if tel_on {
-            telemetry.record_direct(|sink| {
-                sink.record_ns("driver.serve.fingerprint", None, fingerprint_ns);
-                sink.add("driver.serve.requests", 1);
-                sink.add("driver.serve.dirty_roots", incremental.dirty_roots);
-                sink.add("driver.serve.clean_roots", incremental.clean_roots);
-                sink.add("driver.serve.changed_functions", changed_functions);
-                // Invalidation fan-out: roots re-explored *because of* a
-                // change (as opposed to cold-start exploration).
-                if warm_start {
-                    sink.add("driver.serve.invalidated_roots", incremental.dirty_roots);
-                }
-            });
-        }
-
-        // P2: explore the dirty roots, splice clean results from the cache.
-        let span = Span::start(tel_on, "stage.explore");
-        let mut stats = AnalysisStats {
-            files_analyzed: module.files().len() as u64,
-            loc_analyzed: module.total_loc(),
-            ..AnalysisStats::default()
-        };
-        let runs = self
-            .driver
-            .explore_roots(&module, &checkers, &dirty_ids, &mut stats);
-        if tel_on {
-            telemetry.record_direct(|sink| span.finish(sink));
-        }
-        let mut runs_iter = runs.into_iter();
-        let mut candidates: Vec<PossibleBug> = Vec::new();
-        let mut notes: Vec<BudgetNote> = Vec::new();
-        let mut degraded: Vec<DegradedRoot> = Vec::new();
-        let mut new_roots: Vec<StoredRoot> = Vec::with_capacity(roots.len());
-        for ((&root, closure_fp), plan) in roots.iter().zip(&closures).zip(plans) {
-            match plan {
-                Plan::Clean(stored, resolved) => {
-                    stats += &stored.stats;
-                    candidates.extend(resolved);
-                    notes.extend(stored.note.clone());
-                    degraded.extend(stored.degraded.clone());
-                    new_roots.push(stored.clone());
-                }
-                Plan::Dirty => {
-                    let run: RootRun = runs_iter
-                        .next()
-                        .expect("one exploration result per dirty root");
-                    let run_degraded = run.failure.as_ref().map(|f| f.to_degraded());
-                    let quarantined = run
-                        .failure
-                        .as_ref()
-                        .is_some_and(|f| f.action == "quarantined");
-                    // A quarantined root produced no trustworthy result:
-                    // never persist it, so the next request re-explores it
-                    // instead of replaying an empty answer as "clean". A
-                    // demoted root's bounded result *is* deterministic —
-                    // persist it together with its degraded entry so warm
-                    // replays reproduce the report byte-identically.
-                    if !quarantined {
-                        new_roots.push(StoredRoot {
-                            root: module.function(root).name().to_owned(),
-                            closure_fp: *closure_fp,
-                            candidates: run
-                                .candidates
-                                .iter()
-                                .map(|b| StoredBug::from_possible(b, &module))
-                                .collect(),
-                            stats: run.stats,
-                            note: run.note.clone(),
-                            degraded: run_degraded.clone(),
-                        });
-                    }
-                    degraded.extend(run_degraded);
-                    candidates.extend(run.candidates);
-                    notes.extend(run.note);
-                }
-            }
-        }
-
-        // P3: bug filtering (dedup + path validation).
-        let span = Span::start(tel_on, "stage.filter");
-        let cache = config
-            .validation_cache
-            .then(|| &**self.driver.validation_cache());
-        let result = filter::filter_with_faults(
-            &module,
-            candidates,
-            config.validate_paths,
-            cache,
-            Some(&telemetry),
-            &mut stats,
-            config.fault_plan.as_deref(),
-        );
-        degraded.extend(result.failures.iter().cloned());
-        if tel_on {
-            telemetry.record_direct(|sink| span.finish(sink));
-        }
-        stats.time = start.elapsed();
+        let incremental = outcome.incremental;
 
         // Update the warm state and (if open) the on-disk store. A fully
         // clean request (no dirty roots, no function changes, no new
@@ -584,8 +467,8 @@ impl AnalysisSession {
         let store_unchanged = self.store_synced
             && files_unchanged
             && incremental.dirty_roots == 0
-            && changed_functions == 0
-            && self.driver.validation_cache().len() == self.synced_validation_len
+            && incremental.changed_functions == 0
+            && self.cache.len() == self.synced_validation_len
             && prev_counts
                 == self
                     .warm
@@ -600,21 +483,21 @@ impl AnalysisSession {
                 functions: warm.functions.clone(),
                 files: warm.file_hashes.clone(),
                 roots: warm.roots.clone(),
-                validation: if config.validation_cache {
-                    self.driver.validation_cache().export()
+                validation: if self.config.validation_cache {
+                    self.cache.export()
                 } else {
                     Vec::new()
                 },
             };
             let t0 = Instant::now();
             let saved = store
-                .save_with_faults(path, config.fault_plan.as_deref())
+                .save_with_faults(path, self.config.fault_plan.as_deref())
                 .is_ok();
             let save_ns = t0.elapsed().as_nanos() as u64;
             self.store_synced = saved;
-            self.synced_validation_len = self.driver.validation_cache().len();
-            if tel_on {
-                telemetry.record_direct(|sink| {
+            self.synced_validation_len = self.cache.len();
+            if self.telemetry.is_enabled() {
+                self.telemetry.record_direct(|sink| {
                     sink.record_ns("driver.serve.store_save", None, save_ns);
                     if !saved {
                         sink.add("driver.serve.store_save_errors", 1);
@@ -626,16 +509,230 @@ impl AnalysisSession {
             // names): the disk state no longer mirrors the session.
             self.store_synced = false;
         }
+        outcome.telemetry = self.telemetry.snapshot();
+        outcome
+    }
 
+    /// Change detection: fingerprints every function and root closure and
+    /// plans each root clean — its closure fingerprint is unchanged and its
+    /// cached candidates resolve against `module` — or dirty (a resolution
+    /// failure demotes a root to dirty, never to a wrong answer). Also
+    /// returns the function database to keep as warm state: `None` when
+    /// function names are ambiguous, and then every root is dirty.
+    fn plan_roots(
+        &self,
+        module: &Module,
+        roots: &[FuncId],
+        call_graph: &CallGraph,
+        file_hashes: &[(String, u64)],
+    ) -> (Vec<RootPlan<'_>>, IncrementalStats, Option<FunctionDb>) {
+        // Fingerprint prefix reuse: a function's printed IR depends only
+        // on its own source file and the files lowered before it
+        // (module-global variable numbering), and `FileId`s are assigned
+        // in request order — so when the first `unchanged_prefix` files
+        // are byte-identical to the previous run, functions in those
+        // files keep their fingerprints without re-printing their IR.
+        let fp_start = Instant::now();
+        let unchanged_prefix = self.warm.as_ref().map_or(0, |w| {
+            w.file_hashes
+                .iter()
+                .zip(file_hashes)
+                .take_while(|(a, b)| a == b)
+                .count()
+        });
+        let db = FunctionDb::build_with_reuse(
+            module,
+            self.warm.as_ref().map(|w| &w.functions),
+            unchanged_prefix,
+        );
+        let warm_by_name: HashMap<&str, &StoredRoot> = self
+            .warm
+            .as_ref()
+            .map(|w| w.roots.iter().map(|r| (r.root.as_str(), r)).collect())
+            .unwrap_or_default();
+        let plans: Vec<RootPlan> = match &db {
+            None => roots.iter().map(|_| RootPlan::Dirty(None)).collect(),
+            Some(db) => {
+                let fps = closure_fps(module, call_graph, self.config.resolve_fptrs, db);
+                roots
+                    .iter()
+                    .map(|&root| {
+                        let closure_fp = fps[root.index()];
+                        let stored = warm_by_name
+                            .get(module.function(root).name())
+                            .filter(|stored| stored.closure_fp == closure_fp);
+                        let Some(&stored) = stored else {
+                            return RootPlan::Dirty(Some(closure_fp));
+                        };
+                        let resolved: Option<Vec<PossibleBug>> = stored
+                            .candidates
+                            .iter()
+                            .map(|b| b.resolve(module, root))
+                            .collect();
+                        match resolved {
+                            Some(candidates) => RootPlan::Clean(stored, candidates),
+                            None => RootPlan::Dirty(Some(closure_fp)),
+                        }
+                    })
+                    .collect()
+            }
+        };
+        let warm_start = self.warm.is_some();
+        let changed_functions = match (&db, &self.warm) {
+            (Some(db), Some(warm)) => db.changed_since(&warm.functions),
+            (Some(db), None) => db.entries.len() as u64,
+            (None, _) => module.functions().len() as u64,
+        };
+        let dirty_roots = plans
+            .iter()
+            .filter(|p| matches!(p, RootPlan::Dirty(_)))
+            .count() as u64;
+        let incremental = IncrementalStats {
+            roots: roots.len() as u64,
+            dirty_roots,
+            clean_roots: roots.len() as u64 - dirty_roots,
+            changed_functions,
+            warm_start,
+        };
+        let fingerprint_ns = fp_start.elapsed().as_nanos() as u64;
+        if self.telemetry.is_enabled() {
+            self.telemetry.record_direct(|sink| {
+                sink.record_ns("driver.serve.fingerprint", None, fingerprint_ns);
+                sink.add("driver.serve.requests", 1);
+                sink.add("driver.serve.dirty_roots", incremental.dirty_roots);
+                sink.add("driver.serve.clean_roots", incremental.clean_roots);
+                sink.add("driver.serve.changed_functions", changed_functions);
+                // Invalidation fan-out: roots re-explored *because of* a
+                // change (as opposed to cold-start exploration).
+                if warm_start {
+                    sink.add("driver.serve.invalidated_roots", incremental.dirty_roots);
+                }
+            });
+        }
+        (plans, incremental, db)
+    }
+
+    /// The pipeline every entry point runs (paper Fig. 10): P1 collects the
+    /// interface roots, `plan` decides per root between re-exploring it and
+    /// replaying warm state, P2 explores the dirty roots, their results and
+    /// the clean ones are spliced in root order, and P3 filters the merged
+    /// candidate stream. Returns the outcome — its telemetry left empty for
+    /// the caller to snapshot once its own recording is done — and the
+    /// per-root records to keep as warm state.
+    fn run_pipeline<'w>(
+        &self,
+        mut module: Module,
+        checkers: &[Box<dyn Checker>],
+        start: Instant,
+        plan: impl FnOnce(&Module, &[FuncId], &CallGraph) -> (Vec<RootPlan<'w>>, IncrementalStats),
+    ) -> (SessionOutcome, Vec<StoredRoot>) {
+        let config = &self.config;
+        let telemetry = &*self.telemetry;
+        let tel_on = telemetry.is_enabled();
+
+        // P1: information collection.
+        let span = Span::start(tel_on, "stage.collect");
+        let (roots, call_graph) = collector::mark_interfaces_with_graph(&mut module);
+        if tel_on {
+            telemetry.record_direct(|sink| {
+                span.finish(sink);
+                sink.add("collect.roots", roots.len() as u64);
+                sink.add("collect.call_edges", call_graph.edge_count() as u64);
+            });
+        }
+        let (plans, incremental) = plan(&module, &roots, &call_graph);
+
+        // P2: explore the dirty roots, splice clean results from the cache.
+        let span = Span::start(tel_on, "stage.explore");
+        let mut stats = AnalysisStats {
+            files_analyzed: module.files().len() as u64,
+            loc_analyzed: module.total_loc(),
+            ..AnalysisStats::default()
+        };
+        let dirty: Vec<FuncId> = roots
+            .iter()
+            .zip(&plans)
+            .filter(|(_, p)| matches!(p, RootPlan::Dirty(_)))
+            .map(|(&r, _)| r)
+            .collect();
+        let runs = driver::explore_roots(config, telemetry, &module, checkers, &dirty, &mut stats);
+        if tel_on {
+            telemetry.record_direct(|sink| span.finish(sink));
+        }
+        let mut runs = runs.into_iter();
+        let mut candidates = Vec::new();
+        let mut notes = Vec::new();
+        let mut degraded = Vec::new();
+        let mut kept = Vec::new();
+        for (&root, plan) in roots.iter().zip(plans) {
+            match plan {
+                RootPlan::Clean(stored, resolved) => {
+                    stats += &stored.stats;
+                    candidates.extend(resolved);
+                    notes.extend(stored.note.clone());
+                    degraded.extend(stored.degraded.clone());
+                    kept.push(stored.clone());
+                }
+                RootPlan::Dirty(keep) => {
+                    let run = runs.next().expect("one exploration result per dirty root");
+                    let run_degraded = run.failure.as_ref().map(RootFailure::to_degraded);
+                    // A quarantined root produced no trustworthy result:
+                    // never keep it, so the next request re-explores it
+                    // instead of replaying an empty answer as "clean". A
+                    // demoted root's bounded result *is* deterministic —
+                    // keep it together with its degraded entry so warm
+                    // replays reproduce the report byte-identically.
+                    let quarantined = run
+                        .failure
+                        .as_ref()
+                        .is_some_and(|f| f.action == "quarantined");
+                    if let (Some(closure_fp), false) = (keep, quarantined) {
+                        kept.push(StoredRoot {
+                            root: module.function(root).name().to_owned(),
+                            closure_fp,
+                            candidates: run
+                                .candidates
+                                .iter()
+                                .map(|b| StoredBug::from_possible(b, &module))
+                                .collect(),
+                            stats: run.stats,
+                            note: run.note.clone(),
+                            degraded: run_degraded.clone(),
+                        });
+                    }
+                    degraded.extend(run_degraded);
+                    candidates.extend(run.candidates);
+                    notes.extend(run.note);
+                }
+            }
+        }
+
+        // P3: bug filtering (dedup + path validation).
+        let span = Span::start(tel_on, "stage.filter");
+        let result = filter::filter_with_faults(
+            &module,
+            candidates,
+            config.validate_paths,
+            config.validation_cache.then(|| &*self.cache),
+            Some(telemetry),
+            &mut stats,
+            config.fault_plan.as_deref(),
+        );
+        degraded.extend(result.failures);
+        if tel_on {
+            telemetry.record_direct(|sink| span.finish(sink));
+        }
+        stats.time = start.elapsed();
         let report = Report::new(result.reports)
             .with_budget_notes(notes)
             .with_degraded(degraded);
-        SessionOutcome {
+        let outcome = SessionOutcome {
             report,
             stats,
-            telemetry: telemetry.snapshot(),
+            telemetry: TelemetrySnapshot::default(),
             incremental,
-        }
+        };
+        (outcome, kept)
     }
 }
 
@@ -733,7 +830,8 @@ mod tests {
         };
         let cold = AnalysisSession::new(config())
             .analyze_module(pata_cc::compile_one("t.c", TWO_ROOTS).unwrap());
-        let cold_report = Report::new(cold.reports).with_budget_notes(cold.budget_notes);
-        assert_eq!(warm.report.to_json(), cold_report.to_json());
+        assert_eq!(warm.report.to_json(), cold.report.to_json());
+        assert_eq!(cold.incremental.dirty_roots, cold.incremental.roots);
+        assert!(!cold.incremental.warm_start);
     }
 }

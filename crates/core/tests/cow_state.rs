@@ -13,7 +13,7 @@
 //! cow on/off and threads 1/2/4 — with every checker, under tight loop
 //! budgets, and for roots truncated by the instruction budget.
 
-use pata_core::{AnalysisConfig, AnalysisOutcome, AnalysisSession, BugKind, Report};
+use pata_core::{AnalysisConfig, AnalysisSession, BugKind, SessionOutcome};
 
 /// One interface root with `k` live heap allocations before a single
 /// branch: the deeper the state, the more a clone-based fork must copy.
@@ -102,10 +102,9 @@ fn reports_identical_across_cow_and_threads() {
     let module = pata_cc::compile_one("many.c", &src).unwrap();
 
     let report = |cow: bool, threads: usize| {
-        let outcome =
-            AnalysisSession::new(config(cow, threads, false)).analyze_module(module.clone());
-        Report::new(outcome.reports)
-            .with_budget_notes(outcome.budget_notes)
+        AnalysisSession::new(config(cow, threads, false))
+            .analyze_module(module.clone())
+            .report
             .to_json()
     };
     let base = report(true, 1);
@@ -162,15 +161,13 @@ const DRIVER_SRC: &str = r#"
     static struct ops dev_ops = { .tune = tune, .probe = probe };
 "#;
 
-fn report_json(o: &AnalysisOutcome) -> String {
-    Report::new(o.reports.clone())
-        .with_budget_notes(o.budget_notes.clone())
-        .to_json()
+fn report_json(o: &SessionOutcome) -> String {
+    o.report.to_json()
 }
 
 /// Every telemetry counter outside the `driver.*` family (scheduler and
 /// fork-cost metrics) is a pure function of the explored program.
-fn program_counters(o: &AnalysisOutcome) -> Vec<(String, Option<String>, u64)> {
+fn program_counters(o: &SessionOutcome) -> Vec<(String, Option<String>, u64)> {
     let mut cs: Vec<_> = o
         .telemetry
         .counters()
@@ -189,7 +186,7 @@ fn assert_equivalent(
     module: &pata_ir::Module,
     builder: impl Fn() -> pata_core::AnalysisConfigBuilder,
     what: &str,
-) -> AnalysisOutcome {
+) -> SessionOutcome {
     let run = |cow: bool, threads: usize| {
         let config = builder()
             .threads(threads)
@@ -205,7 +202,7 @@ fn assert_equivalent(
             let o = run(cow, threads);
             let at = format!("{what}: cow {cow}, threads {threads}");
             assert_eq!(report_json(&o), report_json(&base), "{at}");
-            assert_eq!(o.budget_notes, base.budget_notes, "{at}");
+            assert_eq!(o.report.budget_notes, base.report.budget_notes, "{at}");
             assert_eq!(o.stats.paths_explored, base.stats.paths_explored, "{at}");
             assert_eq!(o.stats.insts_processed, base.stats.insts_processed, "{at}");
             assert_eq!(program_counters(&o), program_counters(&base), "{at}");
@@ -224,7 +221,7 @@ fn all_checkers_reports_and_counters_identical_across_threads() {
         || AnalysisConfig::builder().checkers(BugKind::ALL.to_vec()),
         "all checkers",
     );
-    assert!(!base.reports.is_empty(), "expected real bugs");
+    assert!(!base.report.reports.is_empty(), "expected real bugs");
     assert!(
         program_counters(&base)
             .iter()
@@ -261,7 +258,7 @@ fn loop_budget_is_deterministic_and_monotone() {
             || AnalysisConfig::builder().loop_iterations(iterations),
             &format!("loop iterations {iterations}"),
         );
-        assert!(!base.reports.is_empty(), "iterations {iterations}");
+        assert!(!base.report.reports.is_empty(), "iterations {iterations}");
         paths.push(base.stats.paths_explored);
     }
     assert!(
@@ -283,10 +280,10 @@ fn budget_exhausted_roots_are_deterministic_across_threads() {
             || AnalysisConfig::builder().max_insts(max_insts),
             &format!("max_insts {max_insts}"),
         );
-        for note in &base.budget_notes {
+        for note in &base.report.budget_notes {
             assert_eq!(note.reason, "max_insts", "{note:?}");
         }
-        truncated += base.budget_notes.len();
+        truncated += base.report.budget_notes.len();
     }
     assert!(truncated > 0, "some budget must truncate a root");
 }

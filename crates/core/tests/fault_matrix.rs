@@ -161,6 +161,23 @@ fn validate_panic_drops_the_group_and_reports_it() {
     assert!(outcome.report.reports.len() < base.report.reports.len());
 }
 
+/// `analyze_module` on the compiled corpus and `analyze` on the request
+/// run one pipeline: the same fault plan yields the same report document,
+/// degraded section included.
+#[test]
+fn module_path_matches_request_path_under_a_fault_plan() {
+    let cfg = || config(1, true, Some("validate:net_probe"));
+    let via_request = analyze(cfg());
+    let mut cc = pata_cc::Compiler::new();
+    for (name, text) in CORPUS {
+        cc.add_source(name, text);
+    }
+    let module = cc.compile().expect("corpus compiles");
+    let via_module = AnalysisSession::new(cfg()).analyze_module(module);
+    assert_eq!(via_module.report.degraded.len(), 1);
+    assert_eq!(via_module.report.to_json(), via_request.report.to_json());
+}
+
 #[test]
 fn deadline_hit_demotes_and_keeps_the_bounded_verdicts() {
     let outcome = analyze(config(1, true, Some("deadline:net_probe@1")));

@@ -5,7 +5,7 @@
 use pata_core::{AnalysisConfig, AnalysisSession, BugKind};
 use pata_ir::{CmpOp, ConstVal, FunctionBuilder, Module, Operand, Type};
 
-fn analyze(module: Module) -> pata_core::AnalysisOutcome {
+fn analyze(module: Module) -> pata_core::SessionOutcome {
     AnalysisSession::new(AnalysisConfig {
         threads: 1,
         ..AnalysisConfig::all_checkers()
@@ -65,11 +65,12 @@ fn fig7_hand_built_ir() {
     assert!(pata_ir::verify_module(&m).is_ok());
     let out = analyze(m);
     let npd: Vec<_> = out
+        .report
         .reports
         .iter()
         .filter(|r| r.kind == BugKind::NullPointerDeref)
         .collect();
-    assert_eq!(npd.len(), 1, "{:?}", out.reports);
+    assert_eq!(npd.len(), 1, "{:?}", out.report.reports);
     assert_eq!(npd[0].function, "bar");
     assert_eq!(npd[0].site_line, 12, "the `a = *t` load in bar");
     assert_eq!(npd[0].origin_line, 4, "the `if (!t)` branch in foo");
@@ -105,11 +106,12 @@ fn leak_hand_built_ir() {
 
     let out = analyze(m);
     let ml: Vec<_> = out
+        .report
         .reports
         .iter()
         .filter(|r| r.kind == BugKind::MemoryLeak)
         .collect();
-    assert_eq!(ml.len(), 1, "{:?}", out.reports);
+    assert_eq!(ml.len(), 1, "{:?}", out.report.reports);
     assert_eq!(ml[0].site_line, 4);
 }
 
@@ -138,11 +140,12 @@ fn store_load_alias_roundtrip_ir() {
 
     let out = analyze(m);
     assert!(
-        out.reports
+        out.report
+            .reports
             .iter()
             .any(|r| r.kind == BugKind::NullPointerDeref && r.site_line == 5),
         "NULL must survive the store/load roundtrip: {:?}",
-        out.reports
+        out.report.reports
     );
 }
 

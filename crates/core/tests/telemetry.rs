@@ -3,8 +3,8 @@
 
 use pata_core::typestate::{Checker, FsmSpec, TrackCtx, UpdateInfo};
 use pata_core::{
-    filter, AnalysisConfig, AnalysisOutcome, AnalysisSession, BugKind, CheckerFactory,
-    CheckerRegistry, RegistryError, Report, REPORT_SCHEMA_VERSION,
+    filter, AnalysisConfig, AnalysisSession, BugKind, CheckerFactory, CheckerRegistry,
+    RegistryError, Report, SessionOutcome, REPORT_SCHEMA_VERSION,
 };
 use pata_ir::InstKind;
 
@@ -53,7 +53,7 @@ const MULTI_ROOT_SRC: &str = r#"
     };
 "#;
 
-fn analyze_with_threads(threads: usize) -> AnalysisOutcome {
+fn run_on_threads(threads: usize) -> SessionOutcome {
     let module = pata_cc::compile_one("multi.c", MULTI_ROOT_SRC).unwrap();
     let config = AnalysisConfig::builder()
         .checkers(BugKind::ALL.to_vec())
@@ -71,10 +71,10 @@ fn analyze_with_threads(threads: usize) -> AnalysisOutcome {
 /// and are excluded.)
 #[test]
 fn counters_exact_across_thread_counts() {
-    let seq = analyze_with_threads(1);
-    let par = analyze_with_threads(4);
+    let seq = run_on_threads(1);
+    let par = run_on_threads(4);
 
-    let counters = |outcome: &AnalysisOutcome| {
+    let counters = |outcome: &SessionOutcome| {
         let mut cs: Vec<(String, Option<String>, u64)> = outcome
             .telemetry
             .counters()
@@ -95,8 +95,9 @@ fn counters_exact_across_thread_counts() {
     assert_eq!(seq_counters, counters(&par));
 
     // The verdict stream is identical too.
-    let render = |o: &AnalysisOutcome| {
-        o.reports
+    let render = |o: &SessionOutcome| {
+        o.report
+            .reports
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
@@ -106,16 +107,16 @@ fn counters_exact_across_thread_counts() {
 
 #[test]
 fn parallel_run_records_thread_gauge() {
-    let par = analyze_with_threads(4);
+    let par = run_on_threads(4);
     // 4 requested threads capped by the number of roots (4).
     assert_eq!(par.telemetry.gauge("driver.threads"), Some(4));
-    let seq = analyze_with_threads(1);
+    let seq = run_on_threads(1);
     assert_eq!(seq.telemetry.gauge("driver.threads"), Some(1));
 }
 
 #[test]
 fn per_root_histogram_covers_every_root() {
-    let out = analyze_with_threads(2);
+    let out = run_on_threads(2);
     for root in ["probe_npd", "probe_leak", "probe_clean", "probe_infeasible"] {
         let hist = out
             .telemetry
@@ -141,13 +142,12 @@ fn disabled_telemetry_yields_empty_snapshot() {
 /// reports.
 #[test]
 fn pipeline_report_round_trips_through_json() {
-    let outcome = analyze_with_threads(1);
-    assert!(!outcome.reports.is_empty());
-    let report = Report::new(outcome.reports.clone());
-    let json = report.to_json();
+    let outcome = run_on_threads(1);
+    assert!(!outcome.report.reports.is_empty());
+    let json = outcome.report.to_json();
     let back = Report::from_json(&json).unwrap();
     assert_eq!(back.schema_version, REPORT_SCHEMA_VERSION);
-    assert_eq!(back, report);
+    assert_eq!(back, outcome.report);
 }
 
 #[test]
@@ -240,10 +240,10 @@ fn collect_candidates_runs_registry_plugins() {
     let session = AnalysisSession::with_registry(config, registry);
 
     let full = session.analyze_module(module.clone());
-    assert_eq!(full.reports.len(), 1, "{:?}", full.reports);
-    assert_eq!(full.reports[0].kind, BugKind::DoubleLock);
+    assert_eq!(full.report.reports.len(), 1, "{:?}", full.report.reports);
+    assert_eq!(full.report.reports[0].kind, BugKind::DoubleLock);
 
     let (marked, candidates, mut stats) = session.collect_candidates(module);
     let split = filter::filter(&marked, candidates, true, None, None, &mut stats);
-    assert_eq!(split.reports, full.reports);
+    assert_eq!(split.reports, full.report.reports);
 }

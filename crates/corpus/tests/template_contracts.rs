@@ -41,6 +41,7 @@ fn pata_kinds(module: pata_ir::Module, all: bool) -> Vec<BugKind> {
     };
     AnalysisSession::new(config)
         .analyze_module(module)
+        .report
         .reports
         .iter()
         .map(|r| r.kind)
@@ -159,7 +160,7 @@ fn na_reports_its_targeted_traps() {
             ..AnalysisConfig::default()
         })
         .analyze_module(module);
-        let found: Vec<BugKind> = out.reports.iter().map(|r| r.kind).collect();
+        let found: Vec<BugKind> = out.report.reports.iter().map(|r| r.kind).collect();
         for kind in &expected {
             assert!(
                 found.contains(kind),

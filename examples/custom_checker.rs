@@ -98,13 +98,13 @@ fn main() {
         AnalysisSession::new(AnalysisConfig::default()).analyze_module_with(module, &checkers);
 
     println!("Unchecked-allocation checker reports:");
-    for r in &outcome.reports {
+    for r in &outcome.report.reports {
         println!(
             "  `{}` line {}: allocation dereferenced before a NULL check",
             r.function, r.site_line
         );
     }
-    assert_eq!(outcome.reports.len(), 1);
-    assert_eq!(outcome.reports[0].function, "rx_bad");
+    assert_eq!(outcome.report.reports.len(), 1);
+    assert_eq!(outcome.report.reports[0].function, "rx_bad");
     println!("\nOne FSM + the existing alias machinery = a new kernel checker.");
 }

@@ -1,11 +1,12 @@
 //! Registering an **out-of-tree checker plugin** through the open
 //! [`CheckerRegistry`] API.
 //!
-//! Where `examples/custom_checker.rs` hands `Pata::analyze_with` a
-//! ready-made checker list, this example goes through the registry — the
-//! same construction path the seven built-ins use: implement
-//! [`CheckerFactory`], `register()` it, and every `Pata::analyze` call on
-//! the analyzer runs the plugin alongside the configured built-ins.
+//! Where `examples/custom_checker.rs` hands
+//! `AnalysisSession::analyze_module_with` a ready-made checker list, this
+//! example goes through the registry — the same construction path the
+//! seven built-ins use: implement [`CheckerFactory`], `register()` it, and
+//! every analysis on a session built with that registry runs the plugin
+//! alongside the configured built-ins.
 //!
 //! The plugin is a strict double-unlock checker. The built-in lock checker
 //! forgives a bare `unlock` in the start state (the lock may be caller
@@ -119,10 +120,10 @@ fn main() {
     let outcome = AnalysisSession::with_registry(config, registry).analyze_module(module);
 
     println!("\nplugin reports:");
-    for r in &outcome.reports {
+    for r in &outcome.report.reports {
         println!("  `{}` line {}: {}", r.function, r.site_line, r.message);
     }
-    assert_eq!(outcome.reports.len(), 1);
-    assert_eq!(outcome.reports[0].function, "irq_bad");
+    assert_eq!(outcome.report.reports.len(), 1);
+    assert_eq!(outcome.report.reports[0].function, "irq_bad");
     println!("\nA factory + register() = an out-of-tree checker, no core patch.");
 }

@@ -50,6 +50,7 @@ fn main() {
     let outcome = AnalysisSession::new(AnalysisConfig::default()).analyze_module(module);
 
     let npd: Vec<_> = outcome
+        .report
         .reports
         .iter()
         .filter(|r| r.kind == BugKind::NullPointerDeref && r.function == "mcde_dsi_start")

@@ -52,7 +52,7 @@ fn main() {
     println!("  false bugs dropped       : {}", s.false_bugs_dropped);
     println!("  wall time                : {:?}", s.time);
 
-    let score = corpus.manifest.score(&outcome.reports);
+    let score = corpus.manifest.score(&outcome.report.reports);
     println!("\nScoring against ground truth:");
     println!(
         "  found: {}  real: {}  FPs: {}  missed: {}",
@@ -67,7 +67,7 @@ fn main() {
     );
 
     println!("\nSample reports:");
-    for r in outcome.reports.iter().take(8) {
+    for r in outcome.report.reports.iter().take(8) {
         println!("  {r}");
     }
 }

@@ -43,14 +43,14 @@ fn main() {
         "PATA analyzed {} paths across {} interface functions\n",
         outcome.stats.paths_explored, outcome.stats.roots
     );
-    for report in &outcome.reports {
+    for report in &outcome.report.reports {
         println!("  {report}");
     }
     println!(
         "\n{} possible bug(s); {} false candidate(s) dropped by path validation",
-        outcome.reports.len(),
+        outcome.report.reports.len(),
         outcome.stats.false_bugs_dropped
     );
-    assert_eq!(outcome.reports.len(), 1, "only my_probe is buggy");
-    assert_eq!(outcome.reports[0].function, "my_probe");
+    assert_eq!(outcome.report.reports.len(), 1, "only my_probe is buggy");
+    assert_eq!(outcome.report.reports[0].function, "my_probe");
 }

@@ -47,10 +47,11 @@ fn main() {
 
     println!("== PATA (path-based alias analysis) ==");
     let outcome = AnalysisSession::new(AnalysisConfig::default()).analyze_module(compile());
-    for r in &outcome.reports {
+    for r in &outcome.report.reports {
         println!("  {r}");
     }
     let found = outcome
+        .report
         .reports
         .iter()
         .any(|r| r.kind == BugKind::NullPointerDeref && r.function == "send_friend_status");
@@ -60,12 +61,13 @@ fn main() {
     println!("== PATA-NA (no alias relationships, Table 6) ==");
     let na = AnalysisSession::new(AnalysisConfig::without_alias()).analyze_module(compile());
     let na_found = na
+        .report
         .reports
         .iter()
         .any(|r| r.kind == BugKind::NullPointerDeref && r.function == "send_friend_status");
     println!(
         "  {} report(s); cross-function bug found: {}",
-        na.reports.len(),
+        na.report.reports.len(),
         na_found
     );
     assert!(!na_found, "without alias analysis the bug is invisible");

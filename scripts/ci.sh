@@ -20,6 +20,15 @@ cargo build --release
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "== examples"
+# `cargo test` only compiles the examples; run each so their assertions on
+# the public API execute.
+for example in custom_checker double_unlock_plugin linux_mcde os_scan quickstart \
+    zephyr_friend_set; do
+    cargo run -q --release --example "$example" >/dev/null \
+        || { echo "example $example failed"; exit 1; }
+done
+
 echo "== cargo test --release --manifest-path e2ebench/Cargo.toml"
 # The end-to-end benchmark is its own cargo workspace, so the workspace
 # test run above never builds it; this catches core API changes that

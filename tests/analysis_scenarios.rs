@@ -2,9 +2,9 @@
 //! what PATA must and must not report. These pin down the semantics of the
 //! alias rules, the checker FSMs and the validator on realistic idioms.
 
-use pata::core::{AnalysisConfig, AnalysisOutcome, AnalysisSession, BugKind};
+use pata::core::{AnalysisConfig, AnalysisSession, BugKind, SessionOutcome};
 
-fn analyze(src: &str) -> AnalysisOutcome {
+fn analyze(src: &str) -> SessionOutcome {
     let module = pata::cc::compile_one("scenario.c", src).expect("scenario compiles");
     AnalysisSession::new(AnalysisConfig {
         threads: 1,
@@ -13,8 +13,8 @@ fn analyze(src: &str) -> AnalysisOutcome {
     .analyze_module(module)
 }
 
-fn kinds(out: &AnalysisOutcome) -> Vec<BugKind> {
-    out.reports.iter().map(|r| r.kind).collect()
+fn kinds(out: &SessionOutcome) -> Vec<BugKind> {
+    out.report.reports.iter().map(|r| r.kind).collect()
 }
 
 fn assert_reports(src: &str, expected: &[BugKind]) {
@@ -23,7 +23,7 @@ fn assert_reports(src: &str, expected: &[BugKind]) {
     got.sort();
     let mut want = expected.to_vec();
     want.sort();
-    assert_eq!(got, want, "reports: {:#?}", out.reports);
+    assert_eq!(got, want, "reports: {:#?}", out.report.reports);
 }
 
 // ====================================================================
@@ -462,7 +462,7 @@ fn contradictory_int_guards_filtered() {
     assert!(
         !kinds(&out).contains(&BugKind::NullPointerDeref),
         "{:?}",
-        out.reports
+        out.report.reports
     );
     assert!(out.stats.false_bugs_dropped >= 1);
 }
@@ -489,7 +489,7 @@ fn arithmetic_chain_feasibility() {
     assert!(
         !kinds(&out).contains(&BugKind::NullPointerDeref),
         "{:?}",
-        out.reports
+        out.report.reports
     );
 }
 
@@ -514,7 +514,7 @@ fn feasible_arithmetic_kept() {
     assert!(
         kinds(&out).contains(&BugKind::NullPointerDeref),
         "{:?}",
-        out.reports
+        out.report.reports
     );
 }
 
@@ -541,11 +541,12 @@ fn bug_in_helper_reached_only_via_root() {
         "#,
     );
     let npd: Vec<_> = out
+        .report
         .reports
         .iter()
         .filter(|r| r.kind == BugKind::NullPointerDeref)
         .collect();
-    assert_eq!(npd.len(), 1, "{:?}", out.reports);
+    assert_eq!(npd.len(), 1, "{:?}", out.report.reports);
     assert_eq!(npd[0].function, "helper");
 }
 
@@ -562,7 +563,7 @@ fn recursion_is_cut_not_looped() {
         "#,
     );
     assert!(out.stats.paths_explored >= 1);
-    assert!(out.reports.is_empty());
+    assert!(out.report.reports.is_empty());
 }
 
 #[test]
@@ -581,5 +582,5 @@ fn globals_shared_across_roots() {
         }
         "#,
     );
-    assert!(out.reports.is_empty(), "{:?}", out.reports);
+    assert!(out.report.reports.is_empty(), "{:?}", out.report.reports);
 }

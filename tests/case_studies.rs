@@ -4,7 +4,7 @@
 
 use pata::core::{AnalysisConfig, AnalysisSession, BugKind};
 
-fn analyze(path: &str, src: &str) -> pata::core::AnalysisOutcome {
+fn analyze(path: &str, src: &str) -> pata::core::SessionOutcome {
     let module = pata::cc::compile_one(path, src).expect("case study compiles");
     AnalysisSession::new(AnalysisConfig {
         threads: 1,
@@ -13,7 +13,7 @@ fn analyze(path: &str, src: &str) -> pata::core::AnalysisOutcome {
     .analyze_module(module)
 }
 
-fn analyze_na(path: &str, src: &str) -> pata::core::AnalysisOutcome {
+fn analyze_na(path: &str, src: &str) -> pata::core::SessionOutcome {
     let module = pata::cc::compile_one(path, src).expect("case study compiles");
     AnalysisSession::new(AnalysisConfig {
         threads: 1,
@@ -48,6 +48,7 @@ fn fig1_s5p_mfc_probe() {
         "#,
     );
     let npd: Vec<_> = out
+        .report
         .reports
         .iter()
         .filter(|r| r.kind == BugKind::NullPointerDeref && r.function == "s5p_mfc_probe")
@@ -55,7 +56,7 @@ fn fig1_s5p_mfc_probe() {
     assert!(
         !npd.is_empty(),
         "Fig. 1 bug must be found: {:?}",
-        out.reports
+        out.report.reports
     );
 }
 
@@ -80,11 +81,12 @@ fn fig1_needs_alias_awareness() {
         "#,
     );
     assert!(
-        !out.reports
+        !out.report
+            .reports
             .iter()
             .any(|r| r.kind == BugKind::NullPointerDeref),
         "PATA-NA cannot connect pdev with dev->plat_dev: {:?}",
-        out.reports
+        out.report.reports
     );
 }
 
@@ -114,11 +116,12 @@ fn fig3_zephyr_friend_set() {
         "#,
     );
     assert!(
-        out.reports
+        out.report
+            .reports
             .iter()
             .any(|r| r.kind == BugKind::NullPointerDeref && r.function == "send_friend_status"),
         "{:?}",
-        out.reports
+        out.report.reports
     );
 }
 
@@ -144,11 +147,12 @@ fn fig9_infeasible_path_dropped() {
     let pata = analyze("lib/fig9.c", src);
     assert!(
         !pata
+            .report
             .reports
             .iter()
             .any(|r| r.kind == BugKind::NullPointerDeref),
         "PATA must drop the infeasible candidate: {:?}",
-        pata.reports
+        pata.report.reports
     );
     assert!(pata.stats.false_bugs_dropped >= 1, "{:?}", pata.stats);
 
@@ -156,11 +160,12 @@ fn fig9_infeasible_path_dropped() {
     // t->f make the path look feasible — a false positive.
     let na = analyze_na("lib/fig9.c", src);
     assert!(
-        na.reports
+        na.report
+            .reports
             .iter()
             .any(|r| r.kind == BugKind::NullPointerDeref),
         "PATA-NA reports the Fig. 9 false positive: {:?}",
-        na.reports
+        na.report.reports
     );
 }
 
@@ -192,6 +197,7 @@ fn fig12a_linux_mcde() {
         "#,
     );
     let sites: Vec<u32> = out
+        .report
         .reports
         .iter()
         .filter(|r| r.kind == BugKind::NullPointerDeref && r.function == "mcde_dsi_start")
@@ -200,7 +206,7 @@ fn fig12a_linux_mcde() {
     assert!(
         sites.len() >= 2,
         "each dereference is a distinct bug: {:?}",
-        out.reports
+        out.report.reports
     );
 }
 
@@ -226,11 +232,12 @@ fn fig12b_zephyr_context_sendto() {
         "#,
     );
     assert!(
-        out.reports
+        out.report
+            .reports
             .iter()
             .any(|r| r.kind == BugKind::NullPointerDeref && r.function == "context_sendto"),
         "{:?}",
-        out.reports
+        out.report.reports
     );
 }
 
@@ -256,11 +263,12 @@ fn fig12c_riot_make_message() {
         "#,
     );
     let ml: Vec<_> = out
+        .report
         .reports
         .iter()
         .filter(|r| r.kind == BugKind::MemoryLeak)
         .collect();
-    assert_eq!(ml.len(), 1, "{:?}", out.reports);
+    assert_eq!(ml.len(), 1, "{:?}", out.report.reports);
     assert_eq!(ml[0].function, "make_message");
 }
 
@@ -292,11 +300,12 @@ fn fig12d_tencent_pthread_create() {
         "#,
     );
     assert!(
-        out.reports
+        out.report
+            .reports
             .iter()
             .any(|r| r.kind == BugKind::UninitVarAccess && r.function == "knl_object_verify"),
         "the uninitialized access surfaces in knl_object_verify: {:?}",
-        out.reports
+        out.report.reports
     );
 }
 
@@ -328,10 +337,11 @@ fn fig12d_fix_with_memset() {
         "#,
     );
     assert!(
-        !out.reports
+        !out.report
+            .reports
             .iter()
             .any(|r| r.kind == BugKind::UninitVarAccess),
         "memset initializes the storage: {:?}",
-        out.reports
+        out.report.reports
     );
 }

@@ -20,7 +20,7 @@ fn pata_finds_all_injected_main_bugs() {
         let corpus = small(profile);
         let module = corpus.compile().unwrap();
         let outcome = AnalysisSession::new(AnalysisConfig::default()).analyze_module(module);
-        let score = corpus.manifest.score(&outcome.reports);
+        let score = corpus.manifest.score(&outcome.report.reports);
         let main_bugs = corpus
             .manifest
             .bugs
@@ -43,7 +43,7 @@ fn pata_fp_rate_below_baselines() {
     let corpus = small(OsProfile::linux());
     let module = corpus.compile().unwrap();
     let pata = AnalysisSession::new(AnalysisConfig::default()).analyze_module(module);
-    let pata_score = corpus.manifest.score(&pata.reports);
+    let pata_score = corpus.manifest.score(&pata.report.reports);
 
     let baselines: Vec<Box<dyn Analyzer>> = vec![
         Box::new(IntraPatternAnalyzer),
@@ -77,7 +77,7 @@ fn na_real_bugs_are_subset_of_pata() {
     let corpus = small(OsProfile::riot());
     let module = corpus.compile().unwrap();
     let pata = AnalysisSession::new(AnalysisConfig::default()).analyze_module(module);
-    let pata_score = corpus.manifest.score(&pata.reports);
+    let pata_score = corpus.manifest.score(&pata.report.reports);
 
     let module = corpus.compile().unwrap();
     let na_reports = PataNaAnalyzer::default().run(&module);
@@ -133,7 +133,7 @@ fn validation_drops_false_bugs() {
         ..AnalysisConfig::default()
     })
     .analyze_module(corpus.compile().unwrap());
-    assert!(without.reports.len() >= with.reports.len());
+    assert!(without.report.reports.len() >= with.report.reports.len());
 }
 
 #[test]
@@ -146,6 +146,7 @@ fn analysis_is_deterministic_across_runs() {
         })
         .analyze_module(corpus.compile().unwrap());
         let mut keys: Vec<String> = outcome
+            .report
             .reports
             .iter()
             .map(|r| format!("{}:{}:{}:{}", r.kind, r.file, r.origin_line, r.site_line))
@@ -165,7 +166,7 @@ fn all_checkers_config_finds_extra_bugs() {
     let corpus = small(OsProfile::linux());
     let module = corpus.compile().unwrap();
     let outcome = AnalysisSession::new(AnalysisConfig::all_checkers()).analyze_module(module);
-    let score = corpus.manifest.score(&outcome.reports);
+    let score = corpus.manifest.score(&outcome.report.reports);
     assert_eq!(
         score.missed, 0,
         "with all six checkers every injected bug is found: {:?}",
@@ -198,7 +199,7 @@ fn fp_rate_stable_across_seeds() {
         let corpus = Corpus::generate(&OsProfile::riot().with_scale(0.3).with_seed(seed));
         let module = corpus.compile().unwrap();
         let outcome = AnalysisSession::new(AnalysisConfig::default()).analyze_module(module);
-        let score = corpus.manifest.score(&outcome.reports);
+        let score = corpus.manifest.score(&outcome.report.reports);
         let fp = score.false_positive_rate();
         assert!(
             (0.0..0.55).contains(&fp),

@@ -423,38 +423,85 @@ fn mutate(rng: &mut Prng, text: &str) -> String {
 /// Seeded truncations and byte mutations of generated corpus files, each
 /// compiled together with an unmutated neighbour file through the whole
 /// front end (lexer, parser, lowering), end in a module or diagnostics,
-/// never a panic.
+/// never a panic and never a hang.
 #[test]
 fn front_end_total_on_mutated_corpus_files() {
     const MUTATION_CASES: u64 = 400;
-    let mut rng = Prng::seed_from_u64(0xf022_c0de);
-    let corpora: Vec<pata::corpus::Corpus> = [
-        pata::corpus::OsProfile::linux().with_scale(0.1),
-        pata::corpus::OsProfile::zephyr().with_scale(0.3),
-    ]
-    .iter()
-    .map(pata::corpus::Corpus::generate)
-    .collect();
-    for case in 0..MUTATION_CASES {
-        let corpus = rng.choose(&corpora);
-        let victim = rng.choose(&corpus.files);
-        let neighbour = rng.choose(&corpus.files);
-        let mut text = victim.text.clone();
-        for _ in 0..rng.gen_range(1, 4) {
-            text = mutate(&mut rng, &text);
-        }
-        let outcome = std::panic::catch_unwind(|| {
-            let mut cc = pata::cc::Compiler::new();
-            cc.add_source(&neighbour.path, &neighbour.text);
-            cc.add_source(&victim.path, &text);
-            let _ = cc.compile();
-        });
-        assert!(
-            outcome.is_ok(),
-            "case {case}: the front end panicked on this mutation of {}:\n{text}",
-            victim.path
-        );
+    // A healthy case takes milliseconds; one this slow is taken to hang.
+    const CASE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
+    enum Step {
+        Started {
+            case: u64,
+            path: String,
+            text: String,
+        },
+        Finished {
+            compiled: bool,
+        },
     }
+    // One worker thread runs every case and reports each one's start and
+    // end; this thread waits on each report with a deadline, so a front
+    // end that loops forever fails the test instead of blocking the suite.
+    // A hung worker cannot be joined: the failing test leaves it detached,
+    // and it ends with the test process.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let mut rng = Prng::seed_from_u64(0xf022_c0de);
+        let corpora: Vec<pata::corpus::Corpus> = [
+            pata::corpus::OsProfile::linux().with_scale(0.1),
+            pata::corpus::OsProfile::zephyr().with_scale(0.3),
+        ]
+        .iter()
+        .map(pata::corpus::Corpus::generate)
+        .collect();
+        for case in 0..MUTATION_CASES {
+            let corpus = rng.choose(&corpora);
+            let victim = rng.choose(&corpus.files);
+            let neighbour = rng.choose(&corpus.files);
+            let mut text = victim.text.clone();
+            for _ in 0..rng.gen_range(1, 4) {
+                text = mutate(&mut rng, &text);
+            }
+            let started = Step::Started {
+                case,
+                path: victim.path.clone(),
+                text: text.clone(),
+            };
+            if tx.send(started).is_err() {
+                return;
+            }
+            let outcome = std::panic::catch_unwind(|| {
+                let mut cc = pata::cc::Compiler::new();
+                cc.add_source(&neighbour.path, &neighbour.text);
+                cc.add_source(&victim.path, &text);
+                let _ = cc.compile();
+            });
+            let finished = Step::Finished {
+                compiled: outcome.is_ok(),
+            };
+            if tx.send(finished).is_err() {
+                return;
+            }
+        }
+    });
+    for _ in 0..MUTATION_CASES {
+        let Ok(Step::Started { case, path, text }) = rx.recv_timeout(CASE_TIMEOUT) else {
+            panic!("the mutation worker stopped before starting its next case");
+        };
+        match rx.recv_timeout(CASE_TIMEOUT) {
+            Ok(Step::Finished { compiled }) => assert!(
+                compiled,
+                "case {case}: the front end panicked on this mutation of {path}:\n{text}"
+            ),
+            _ => panic!(
+                "case {case}: the front end did not finish within {CASE_TIMEOUT:?} \
+                 on this mutation of {path}:\n{text}"
+            ),
+        }
+    }
+    worker
+        .join()
+        .expect("the mutation worker finished every case");
 }
 
 /// Any corpus seed produces a compiling, verifying module.
